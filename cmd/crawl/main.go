@@ -20,10 +20,10 @@
 // bad config, cancellation, an unwritable output — occurs.
 //
 // With -checkpoint, the crawl periodically writes a crash-safe progress
-// file; SIGINT writes a final checkpoint before exiting 130 and prints
-// the exact -resume invocation. Re-running with -resume continues from
-// the checkpoint and produces a dataset byte-identical to an
-// uninterrupted crawl. A damaged checkpoint is discarded with a warning
+// file; SIGINT writes a final checkpoint before exiting 130 and, when
+// the checkpoint is on disk, prints the exact -resume invocation.
+// Re-running with -resume continues from the checkpoint and produces a
+// dataset byte-identical to an uninterrupted crawl. A damaged checkpoint is discarded with a warning
 // and the crawl restarts from scratch; a checkpoint from a different
 // configuration is a hard error.
 //
@@ -226,7 +226,7 @@ func run() int {
 	if streamErr != nil {
 		fmt.Fprintf(os.Stderr, "crawl: canceled after %d iterations; partial dataset kept: %v\n",
 			len(ds.Iterations), streamErr)
-		if cfg.Checkpoint != "" {
+		if _, err := os.Stat(cfg.Checkpoint); err == nil {
 			fmt.Fprintf(os.Stderr, "crawl: checkpoint written to %s\ncrawl: resume with: %s\n",
 				cfg.Checkpoint, resumeInvocation())
 		}

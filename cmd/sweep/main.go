@@ -30,7 +30,8 @@
 // With -checkpoint, the sweep parks completed cells' results and
 // in-flight cells' crawled prefixes in a crash-safe progress file;
 // SIGINT writes a final checkpoint before exiting 130, and any cell
-// error or cancellation prints the exact -resume invocation to stderr.
+// error or cancellation that left a checkpoint on disk prints the exact
+// -resume invocation to stderr.
 // Re-running with -resume skips completed cells, continues in-flight
 // ones mid-crawl, and produces cells and aggregates byte-identical to
 // an uninterrupted sweep. A damaged checkpoint is discarded with a
@@ -75,7 +76,7 @@ var (
 	faults       = flag.String("faults", "", "fault-injection profile(s), comma-separated: off, flaky-edge, bot-hostile, brownout (overrides the matrix's faults= key)")
 	faultRate    = flag.String("fault-rate", "", "fault-injection rate(s) in [0, 1], comma-separated (overrides the matrix's fault-rate= key)")
 	adversary    = flag.String("adversary", "", "adversary posture(s), comma-separated: off, lenient, strict, paranoid (overrides the matrix's adversary= key)")
-	counters     = flag.String("cm", "", "countermeasure bundle(s), comma-separated: off, pace, rotate, solve, full (overrides the matrix's cm= key)")
+	counters     = flag.String("countermeasures", "", "countermeasure bundle(s), comma-separated: off, pace, rotate, solve, full (overrides the matrix's cm= key)")
 	out          = flag.String("out", "", "write the JSON result to this file (default: stdout)")
 	ckpt         = flag.String("checkpoint", "", "crash-safe checkpoint file (SIGINT writes a final checkpoint before exiting)")
 	resume       = flag.Bool("resume", false, "continue from an existing -checkpoint file")
@@ -304,7 +305,7 @@ func run() int {
 		fmt.Fprint(os.Stderr, res.Render())
 	}
 	if sweepErr != nil {
-		if *ckpt != "" {
+		if _, err := os.Stat(*ckpt); err == nil {
 			fmt.Fprintf(os.Stderr, "sweep: checkpoint written to %s\nsweep: resume with: %s\n",
 				*ckpt, resumeInvocation())
 		}

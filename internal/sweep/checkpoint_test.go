@@ -51,7 +51,9 @@ func deterministicBytes(t *testing.T, res *sweep.Result) []byte {
 // freshly rolled parallelism, and repeats until a run completes: the
 // final cells and aggregates must equal the uninterrupted sweep's byte
 // for byte, and each cell must have reported exactly once across all
-// rounds — completed cells are skipped, not re-run.
+// rounds — completed cells are skipped, not re-run. A kill that lands
+// after the last cell finished cancels nothing: that round returns nil
+// and removes its checkpoint like any completed sweep.
 func TestSweepKillResumeByteIdentical(t *testing.T) {
 	m := ckptMatrix()
 	want, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 2})

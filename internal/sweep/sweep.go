@@ -76,8 +76,9 @@ type Options struct {
 	// cell's crawl (round trips, navigations, iterations — see
 	// crawler.Config.Telemetry), analysis fold latency (sequential cell
 	// folds; sharded folds time inside the shards and are not recorded),
-	// and checkpoint writes. nil = off. Telemetry never affects sweep
-	// output and does not enter the matrix hash.
+	// checkpoint writes, and world reuse (world_derivations per seed,
+	// world_instantiations per cell). nil = off. Telemetry never affects
+	// sweep output and does not enter the matrix hash.
 	Telemetry *telemetry.Registry
 }
 
@@ -150,12 +151,23 @@ func (r *Result) Aggregate(scenario string) *ScenarioAggregate {
 // searchads.Study pipeline with the same configuration, so every
 // cell's report is byte-identical to running that study standalone.
 //
+// Cells that share a seed crawl the same seeded web, so they are
+// dispatched together: the first worker to reach a seed derives its
+// websim.Blueprint, the others wait for it, and each cell instantiates
+// its own world from it. A blueprint lives only within this call and is
+// dropped once the last cell of its seed is done, so the number live is
+// bounded by the pool width (plus one), not by the number of seeds.
+// Results stay in expansion order.
+//
 // Canceling ctx aborts promptly: in-flight cells stop within one crawl
 // iteration, queued cells are marked canceled without running, and the
 // pool is drained before Run returns. The result is complete either
 // way — failed or canceled cells carry Err and are excluded from
-// aggregates — and the returned error joins every cell failure plus
-// ctx.Err() when the sweep was canceled.
+// aggregates. One predicate, "did every cell complete?", decides both
+// the returned error and the checkpoint: if so, Run returns nil and
+// removes the checkpoint, even when a cancel landed after the last cell
+// finished; if not, the error joins every cell failure plus ctx.Err()
+// and the checkpoint keeps every crawled iteration.
 func Run(ctx context.Context, m Matrix, opts Options) (*Result, error) {
 	cells := m.Expand()
 	workers := opts.Parallel
@@ -193,11 +205,9 @@ func Run(ctx context.Context, m Matrix, opts Options) (*Result, error) {
 		}
 	}
 
-	indices := make(chan int, len(cells))
-	for i := range cells {
-		if r.restored != nil && r.restored[i] {
-			continue // completed in an earlier run; result already in place
-		}
+	order := r.dispatchOrder()
+	indices := make(chan int, len(order))
+	for _, i := range order {
 		indices <- i
 	}
 	close(indices)
@@ -221,26 +231,85 @@ func Run(ctx context.Context, m Matrix, opts Options) (*Result, error) {
 		PeakRetainedIterations: r.peak,
 	}
 	var errs []error
+	ctxErr := ctx.Err()
 	for i, cr := range r.results {
-		if cr.Err != "" {
-			res.CellErrors++
-			// Cancellation is reported once, below, not per cell. Cell
-			// errors keep their chains (%w) so errors.Is still matches
-			// sentinels like crawler.ErrUnknownEngine through the join.
-			if cellErr := r.cellErrs[i]; cellErr != nil && !errors.Is(cellErr, context.Canceled) && !errors.Is(cellErr, context.DeadlineExceeded) {
-				errs = append(errs, fmt.Errorf("cell %s seed=%d: %w", cr.Scenario, cr.Seed, cellErr))
-			}
+		if cr.Err == "" {
+			continue
 		}
+		res.CellErrors++
+		// Cancellation is reported once, below, not per cell. Cell
+		// errors keep their chains (%w) so errors.Is still matches
+		// sentinels like crawler.ErrUnknownEngine through the join.
+		cellErr := r.cellErrs[i]
+		if ctxErr != nil && (errors.Is(cellErr, context.Canceled) || errors.Is(cellErr, context.DeadlineExceeded)) {
+			continue
+		}
+		errs = append(errs, fmt.Errorf("cell %s seed=%d: %w", cr.Scenario, cr.Seed, cellErr))
 	}
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
+	complete := res.CellErrors == 0
+	if !complete && ctxErr != nil {
+		errs = append(errs, ctxErr)
 	}
 	if r.ckpt != nil {
-		if err := r.ckpt.finalize(res.CellErrors == 0); err != nil {
+		if err := r.ckpt.finalize(complete); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return res, errors.Join(errs...)
+}
+
+// dispatchOrder lists the cells to run, grouped by seed in order of each
+// seed's first appearance, and registers one blueprint entry per seed.
+// Cells restored from a checkpoint are skipped.
+func (r *runner) dispatchOrder() []int {
+	var seeds []int64
+	groups := make(map[int64][]int)
+	for i, c := range r.cells {
+		if r.restored != nil && r.restored[i] {
+			continue // completed in an earlier run; result already in place
+		}
+		if _, ok := groups[c.Seed]; !ok {
+			seeds = append(seeds, c.Seed)
+		}
+		groups[c.Seed] = append(groups[c.Seed], i)
+	}
+	r.blueprints = make(map[int64]*blueprintEntry, len(seeds))
+	order := make([]int, 0, len(r.cells))
+	for _, seed := range seeds {
+		r.blueprints[seed] = &blueprintEntry{pending: len(groups[seed])}
+		order = append(order, groups[seed]...)
+	}
+	return order
+}
+
+// blueprintEntry is one seed's shared web within a Run.
+type blueprintEntry struct {
+	once    sync.Once
+	bp      *websim.Blueprint
+	pending int // cells of this seed not yet done; guarded by runner.mu
+}
+
+// blueprint returns the cell's seeded web, deriving it on first use.
+func (r *runner) blueprint(seed int64, wcfg websim.Config) *websim.Blueprint {
+	r.mu.Lock()
+	e := r.blueprints[seed]
+	r.mu.Unlock()
+	e.once.Do(func() {
+		e.bp = websim.Derive(wcfg)
+		r.opts.Telemetry.Inc(telemetry.CounterWorldDerivations)
+	})
+	return e.bp
+}
+
+// releaseBlueprint marks one cell of seed done and drops the seed's
+// blueprint after its last cell.
+func (r *runner) releaseBlueprint(seed int64) {
+	r.mu.Lock()
+	e := r.blueprints[seed]
+	if e.pending--; e.pending == 0 {
+		delete(r.blueprints, seed)
+	}
+	r.mu.Unlock()
 }
 
 // runner is the shared state of one sweep execution.
@@ -257,16 +326,18 @@ type runner struct {
 	restored []bool                 // cells completed by an earlier run
 	resume   [][]*crawler.Iteration // in-flight prefixes restored per cell
 
-	mu       sync.Mutex // guards the fields below and serializes callbacks
-	retained int        // crawl iterations currently held
-	peak     int        // high-water mark of retained
-	done     int        // completed cells
+	mu         sync.Mutex // guards the fields below and serializes callbacks
+	retained   int        // crawl iterations currently held
+	peak       int        // high-water mark of retained
+	done       int        // completed cells
+	blueprints map[int64]*blueprintEntry
 }
 
 // runCell executes one cell end to end and retains only its scalars.
 // Cells reached after cancellation are marked canceled without running.
 func (r *runner) runCell(ctx context.Context, i int) {
 	c := r.cells[i]
+	defer r.releaseBlueprint(c.Seed)
 	cr := CellResult{Scenario: c.Scenario, Seed: c.Seed}
 
 	tele := r.opts.Telemetry
@@ -338,11 +409,12 @@ func (r *runner) runCell(ctx context.Context, i int) {
 	}
 }
 
-// crawlAndAnalyze is the cell pipeline: world build, then the crawl
-// streamed one iteration at a time into an incremental analysis fold.
-// Each iteration is born inside the crawler, counted while the sweep
-// holds it, folded, and dropped — which is what keeps sweep memory
-// O(parallelism · iteration) instead of O(parallelism · dataset).
+// crawlAndAnalyze is the cell pipeline: a world instantiated from the
+// seed's shared blueprint, then the crawl streamed one iteration at a
+// time into an incremental analysis fold. Each iteration is born inside
+// the crawler, counted while the sweep holds it, folded, and dropped —
+// which is what keeps sweep memory O(parallelism · iteration) instead
+// of O(parallelism · dataset).
 func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellResult) (*analysis.Report, error) {
 	wcfg := websim.Config{
 		Seed:             c.Seed,
@@ -372,7 +444,8 @@ func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellRes
 	if err != nil {
 		return nil, err
 	}
-	world := websim.NewWorld(wcfg)
+	world := r.blueprint(c.Seed, wcfg).Instantiate(wcfg)
+	r.opts.Telemetry.Inc(telemetry.CounterWorldInstantiations)
 	var crawlFilter *filterlist.Engine
 	if c.FilterAnnotate {
 		crawlFilter = r.filter

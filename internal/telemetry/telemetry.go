@@ -151,6 +151,13 @@ const (
 	CounterBreakerTrips
 	// CounterBreakerSheds counts iterations shed by an open breaker.
 	CounterBreakerSheds
+	// CounterWorldDerivations counts seeded world derivations
+	// (websim.Derive): one per study, one per distinct seed in a sweep.
+	CounterWorldDerivations
+	// CounterWorldInstantiations counts worlds wired from a derivation
+	// (websim.Blueprint.Instantiate): one per crawl a study starts, one
+	// per sweep cell that runs.
+	CounterWorldInstantiations
 
 	numCounters
 )
@@ -174,6 +181,8 @@ var counterNames = [numCounters]string{
 	"session_rotations",
 	"breaker_trips",
 	"breaker_sheds",
+	"world_derivations",
+	"world_instantiations",
 }
 
 // String returns the counter's snake_case report name.

@@ -1,12 +1,8 @@
-// Package websim assembles the complete simulated web: the five search
-// engines, the two ad platforms, every redirector service, per-engine
-// advertiser pools, destination-page trackers, and the query workload —
-// all seeded and deterministic.
-//
 // This file holds every behavioural prevalence that stands in for
 // live-web conditions (DESIGN.md §5). Each constant cites the paper
 // table or line it reproduces. They are defaults; Config can override
 // the derived structures before the world is built.
+
 package websim
 
 // StackChoice is one weighted ad-tech stack option campaigns draw from.

@@ -174,3 +174,30 @@ func TestMintDomainUnique(t *testing.T) {
 		}
 	}
 }
+
+// benchConfig is a sweep-cell-sized world: two crawled engines with
+// eight queries each.
+func benchConfig(seed int64) Config {
+	return Config{Seed: seed, Engines: []string{serp.Bing, serp.DuckDuckGo}, QueriesPerEngine: 8}
+}
+
+// BenchmarkDerive times the seeded half of a world build: trackers,
+// advertiser sites, campaign pools.
+func BenchmarkDerive(b *testing.B) {
+	b.ReportAllocs()
+	var n int64
+	for b.Loop() {
+		Derive(benchConfig(n%4 + 1))
+		n++
+	}
+}
+
+// BenchmarkInstantiate times the per-crawl half: network, registries,
+// engines, query corpora.
+func BenchmarkInstantiate(b *testing.B) {
+	bp := Derive(benchConfig(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		bp.Instantiate(benchConfig(1))
+	}
+}

@@ -1,3 +1,20 @@
+// Package websim assembles the complete simulated web: the five search
+// engines, the two ad platforms, every redirector service, per-engine
+// advertiser pools, destination-page trackers, and the query workload —
+// all seeded and deterministic.
+//
+// A world is built in two steps. Derive is the seeded, pure part: it
+// mints the tracker universe, the advertiser sites, the campaign pools
+// and their landing URLs into a Blueprint, which depends only on the
+// seed, the calibrations and referrer smuggling and is never written
+// after Derive returns. Instantiate is the cheap wiring: a fresh
+// network, redirector, tracker and site registries with fresh
+// per-client identifier streams, the platforms and engines, the query
+// corpora and the fault plan. NewWorld is Derive followed by
+// Instantiate. Callers that crawl one web under several browser
+// set-ups (storage, filter, stealth, countermeasures, faults) derive
+// once and instantiate per crawl; every instantiated world is
+// byte-identical in behaviour to a NewWorld of the same config.
 package websim
 
 import (
@@ -16,7 +33,9 @@ import (
 )
 
 // Config parameterises a world build. The zero value is completed by
-// defaults in NewWorld.
+// defaults in NewWorld. Seed, Calibrations and EnableReferrerSmuggling
+// are the derivation fields Derive reads; Engines, QueriesPerEngine and
+// Faults are the instance fields Instantiate reads.
 type Config struct {
 	// Seed roots every stochastic choice; identical configs build
 	// byte-identical worlds.
@@ -42,15 +61,10 @@ type Config struct {
 	Faults netsim.FaultPlan
 }
 
-func (c Config) withDefaults() Config {
+// withDerivationDefaults fills the derivation fields.
+func (c Config) withDerivationDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 20221001
-	}
-	if len(c.Engines) == 0 {
-		c.Engines = serp.AllEngineNames()
-	}
-	if c.QueriesPerEngine == 0 {
-		c.QueriesPerEngine = 500
 	}
 	defaults := defaultCalibrations()
 	if c.Calibrations == nil {
@@ -69,6 +83,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// withInstanceDefaults fills the instance fields only.
+func (c Config) withInstanceDefaults() Config {
+	if len(c.Engines) == 0 {
+		c.Engines = serp.AllEngineNames()
+	}
+	if c.QueriesPerEngine == 0 {
+		c.QueriesPerEngine = 500
+	}
+	return c
+}
+
 // World is the fully-wired simulated web.
 type World struct {
 	Net         *netsim.Network
@@ -81,43 +106,43 @@ type World struct {
 	// Queries holds the per-engine query corpus.
 	Queries map[string][]string
 	// SitesByEngine records which advertiser sites belong to which
-	// engine's pool (diagnostics and tests).
+	// engine's pool (diagnostics and tests). It is the blueprint's map,
+	// shared by every world instantiated from it: read it, never write.
 	SitesByEngine map[string][]*advertiser.Site
+}
+
+// Blueprint is the seeded, read-only part of a world: the tracker
+// universe, the advertiser sites, the per-engine campaign pools and
+// their landing URLs. Nothing writes it after Derive returns, so any
+// number of worlds may be instantiated from one blueprint, on any
+// number of goroutines, and crawled concurrently.
+type Blueprint struct {
+	// cfg holds the resolved derivation fields: the defaulted seed and
+	// the merged calibrations, with referrer-smuggling stacks added.
+	cfg           Config
+	seed          detrand.Source
+	trackers      []*advertiser.Tracker
+	sites         []*advertiser.Site
+	sitesByEngine map[string][]*advertiser.Site
+	pools         map[string]*adtech.Pool
 }
 
 // NewWorld builds and registers the whole ecosystem.
 func NewWorld(cfg Config) *World {
-	cfg = cfg.withDefaults()
-	seed := detrand.New(cfg.Seed)
-	w := &World{
-		Net:           netsim.NewNetwork(),
-		Cfg:           cfg,
-		Seed:          seed,
-		Engines:       make(map[string]*serp.Engine),
-		Queries:       make(map[string][]string),
-		SitesByEngine: make(map[string][]*advertiser.Site),
-	}
+	return Derive(cfg).Instantiate(cfg)
+}
 
-	// 1. Redirector services (Table 4 policies).
-	w.Redirectors = adtech.NewRegistry(seed)
-	for _, ps := range redirectorPolicies() {
-		w.Redirectors.Add(&adtech.Policy{
-			Host:          ps.host,
-			Wildcard:      ps.wildcard,
-			Path:          ps.path,
-			UIDCookieProb: ps.uidProb,
-			CookieName:    ps.cookie,
-			NonUIDCookie:  ps.nonUID,
-		})
-	}
+// Derive mints the seeded part of the world cfg describes. Only the
+// derivation fields of cfg (Seed, Calibrations, EnableReferrerSmuggling)
+// are read.
+func Derive(cfg Config) *Blueprint {
+	cfg = Config{
+		Seed:                    cfg.Seed,
+		Calibrations:            cfg.Calibrations,
+		EnableReferrerSmuggling: cfg.EnableReferrerSmuggling,
+	}.withDerivationDefaults()
+	seed := detrand.New(cfg.Seed)
 	if cfg.EnableReferrerSmuggling {
-		w.Redirectors.Add(&adtech.Policy{
-			Host:               HostRefSync,
-			Path:               "/sync",
-			UIDCookieProb:      1.0,
-			CookieName:         "rsid",
-			SmuggleViaReferrer: true,
-		})
 		// Give every engine's campaigns a slice of referrer-smuggling
 		// stacks.
 		cals := make(map[string]EngineCalibration, len(cfg.Calibrations))
@@ -127,23 +152,15 @@ func NewWorld(cfg Config) *World {
 			cals[name] = cal
 		}
 		cfg.Calibrations = cals
-		w.Cfg = cfg
 	}
-	w.Redirectors.Register(w.Net)
-
-	// 2. Platforms.
-	googleAds := adtech.GoogleAds(seed)
-	microsoftAds := adtech.MicrosoftAds(seed)
-	platformFor := func(name string) *adtech.Platform {
-		switch name {
-		case serp.Google, serp.StartPage:
-			return googleAds
-		default:
-			return microsoftAds
-		}
+	bp := &Blueprint{
+		cfg:           cfg,
+		seed:          seed,
+		sitesByEngine: make(map[string][]*advertiser.Site),
+		pools:         make(map[string]*adtech.Pool),
 	}
 
-	// 3. Tracker universe: the builtin named services plus per-engine
+	// 1. Tracker universe: the builtin named services plus per-engine
 	// long-tail pools.
 	trackerPools := make(map[string][]*advertiser.Tracker)
 	allTrackers := advertiser.BuiltinTrackers()
@@ -154,10 +171,10 @@ func NewWorld(cfg Config) *World {
 		trackerPools[name] = minted
 		allTrackers = append(allTrackers, minted...)
 	}
-	w.Trackers = advertiser.NewTrackerRegistry(seed, allTrackers)
-	w.Trackers.Register(w.Net)
+	bp.trackers = allTrackers
+	byEntity := builtinsByEntity(builtins)
 
-	// 4. Per-engine advertiser pools and campaigns. Behavioural
+	// 2. Per-engine advertiser pools and campaigns. Behavioural
 	// prevalences (stack mix, auto-tagging, clean sites, persistence) are
 	// realised as exact pool quotas — largest-remainder counts assigned
 	// to a seed-shuffled subset — rather than independent per-campaign
@@ -167,8 +184,6 @@ func NewWorld(cfg Config) *World {
 	// realised pool fractions to the calibration for every seed, leaving
 	// only the (intended) crawl-level variance of which ads get clicked.
 	usedDomains := make(map[string]bool)
-	var allSites []*advertiser.Site
-	pools := make(map[string]*adtech.Pool)
 	products := workload.Products()
 	for _, name := range serp.AllEngineNames() {
 		cal := cfg.Calibrations[name]
@@ -182,9 +197,10 @@ func NewWorld(cfg Config) *World {
 		otherUID := quotaBools(r, cal.OtherUIDProb, n)
 		clean := quotaBools(r, cal.CleanSiteProb, n)
 		persistLS := quotaBools(r, 0.2, n)
-		persist := make(map[string][]bool)
-		for _, param := range sortedKeys(cal.PersistClickIDProb) {
-			persist[param] = quotaBools(r, cal.PersistClickIDProb[param], n)
+		persistKeys := sortedKeys(cal.PersistClickIDProb)
+		persist := make([][]bool, len(persistKeys))
+		for k, param := range persistKeys {
+			persist[k] = quotaBools(r, cal.PersistClickIDProb[param], n)
 		}
 		// Auto-tagging applies to non-direct campaigns only, so its quota
 		// is taken over that subset.
@@ -199,7 +215,9 @@ func NewWorld(cfg Config) *World {
 			autoTag[nonDirect[i]] = on
 		}
 
-		pool := &adtech.Pool{}
+		sampler := newTrackerSampler(cal, byEntity, trackerPools[name])
+		pool := &adtech.Pool{Campaigns: make([]*adtech.Campaign, 0, n)}
+		sites := make([]*advertiser.Site, 0, n)
 		for i := 0; i < n; i++ {
 			domain := mintDomain(r, usedDomains)
 			site := &advertiser.Site{
@@ -207,16 +225,15 @@ func NewWorld(cfg Config) *World {
 				LandingPath: "/landing",
 			}
 			if !clean[i] {
-				site.Trackers = sampleTrackers(r, cal, builtins, trackerPools[name])
+				site.Trackers = sampler.sample(r)
 			}
-			for _, param := range sortedKeys(cal.PersistClickIDProb) {
-				if persist[param][i] {
+			for k, param := range persistKeys {
+				if persist[k][i] {
 					site.PersistParams = append(site.PersistParams, param)
 				}
 			}
 			site.PersistToLocalStorage = persistLS[i]
-			allSites = append(allSites, site)
-			w.SitesByEngine[name] = append(w.SitesByEngine[name], site)
+			sites = append(sites, site)
 
 			choice := cal.Stacks[choiceIdx[i]]
 			campaign := &adtech.Campaign{
@@ -234,15 +251,77 @@ func NewWorld(cfg Config) *World {
 			}
 			pool.Campaigns = append(pool.Campaigns, campaign)
 		}
-		pools[name] = pool
+		bp.sites = append(bp.sites, sites...)
+		bp.sitesByEngine[name] = sites
+		bp.pools[name] = pool
 	}
-	w.Sites = advertiser.NewSiteRegistry(seed, allSites)
+	return bp
+}
+
+// Instantiate wires a fresh world around the blueprint: its own network,
+// registries, platforms and engines, so the per-client identifier
+// streams start from scratch. Only the instance fields of cfg (Engines,
+// QueriesPerEngine, Faults) are read; the derivation fields are the
+// blueprint's.
+func (bp *Blueprint) Instantiate(cfg Config) *World {
+	wcfg := bp.cfg
+	wcfg.Engines, wcfg.QueriesPerEngine, wcfg.Faults = cfg.Engines, cfg.QueriesPerEngine, cfg.Faults
+	wcfg = wcfg.withInstanceDefaults()
+	seed := bp.seed
+	w := &World{
+		Net:           netsim.NewNetwork(),
+		Cfg:           wcfg,
+		Seed:          seed,
+		Engines:       make(map[string]*serp.Engine),
+		Queries:       make(map[string][]string),
+		SitesByEngine: bp.sitesByEngine,
+	}
+
+	// 1. Redirector services (Table 4 policies).
+	w.Redirectors = adtech.NewRegistry(seed)
+	for _, ps := range redirectorPolicies() {
+		w.Redirectors.Add(&adtech.Policy{
+			Host:          ps.host,
+			Wildcard:      ps.wildcard,
+			Path:          ps.path,
+			UIDCookieProb: ps.uidProb,
+			CookieName:    ps.cookie,
+			NonUIDCookie:  ps.nonUID,
+		})
+	}
+	if wcfg.EnableReferrerSmuggling {
+		w.Redirectors.Add(&adtech.Policy{
+			Host:               HostRefSync,
+			Path:               "/sync",
+			UIDCookieProb:      1.0,
+			CookieName:         "rsid",
+			SmuggleViaReferrer: true,
+		})
+	}
+	w.Redirectors.Register(w.Net)
+
+	// 2. Platforms.
+	googleAds := adtech.GoogleAds(seed)
+	microsoftAds := adtech.MicrosoftAds(seed)
+	platformFor := func(name string) *adtech.Platform {
+		switch name {
+		case serp.Google, serp.StartPage:
+			return googleAds
+		default:
+			return microsoftAds
+		}
+	}
+
+	// 3. Tracker and advertiser-site origins.
+	w.Trackers = advertiser.NewTrackerRegistry(seed, bp.trackers)
+	w.Trackers.Register(w.Net)
+	w.Sites = advertiser.NewSiteRegistry(seed, bp.sites)
 	w.Sites.Register(w.Net)
 
-	// 5. Engines — all five are always registered.
+	// 4. Engines — all five are always registered.
 	for _, name := range serp.AllEngineNames() {
 		spec := serp.SpecFor(name)
-		e := serp.NewEngine(spec, platformFor(name), pools[name], w.Redirectors, seed)
+		e := serp.NewEngine(spec, platformFor(name), bp.pools[name], w.Redirectors, seed)
 		e.Beacons = serp.BeaconsFor(name)
 		switch name {
 		case serp.Bing:
@@ -258,16 +337,16 @@ func NewWorld(cfg Config) *World {
 		w.Engines[name] = e
 	}
 
-	// 6. Query corpora for the crawled engines.
-	for _, name := range cfg.Engines {
-		w.Queries[name] = workload.Generate(workload.Mixed, seed.Derive("queries", name), cfg.QueriesPerEngine)
+	// 5. Query corpora for the crawled engines.
+	for _, name := range wcfg.Engines {
+		w.Queries[name] = workload.Generate(workload.Mixed, seed.Derive("queries", name), wcfg.QueriesPerEngine)
 	}
 
-	// 7. Chaos layer: arm deterministic fault injection when configured.
-	if !cfg.Faults.IsZero() {
-		plan := cfg.Faults
+	// 6. Chaos layer: arm deterministic fault injection when configured.
+	if !wcfg.Faults.IsZero() {
+		plan := wcfg.Faults
 		if plan.Seed == 0 {
-			plan.Seed = cfg.Seed
+			plan.Seed = wcfg.Seed
 		}
 		if plan.Interstitial == nil {
 			plan.Interstitial = botwallInterstitial
@@ -368,43 +447,70 @@ func quotaBools(r *detrand.Gen, p float64, n int) []bool {
 	return out
 }
 
-// sampleTrackers picks a non-clean site's tracker set:
+// trackerSampler picks non-clean sites' tracker sets for one engine:
 // TrackersPerSiteMin..Max services drawn by entity weight (Table 5) from
 // the builtin and long-tail pools. (Clean sites are assigned by quota in
-// NewWorld before this runs.)
-func sampleTrackers(r randSource, cal EngineCalibration, builtins, unknowns []*advertiser.Tracker) []*advertiser.Tracker {
-	byEntity := builtinsByEntity(builtins)
+// Derive before it runs.) The entity table and the builtin grouping are
+// built once per engine, not once per site.
+type trackerSampler struct {
+	entities  []string
+	weights   []float64
+	byEntity  map[string][]*advertiser.Tracker
+	unknowns  []*advertiser.Tracker
+	min, span int
+}
+
+func newTrackerSampler(cal EngineCalibration, byEntity map[string][]*advertiser.Tracker, unknowns []*advertiser.Tracker) *trackerSampler {
 	entities := sortedKeys(cal.TrackerEntityWeights)
 	weights := make([]float64, len(entities))
 	for i, e := range entities {
 		weights[i] = cal.TrackerEntityWeights[e]
 	}
-	span := cal.TrackersPerSiteMax - cal.TrackersPerSiteMin + 1
-	n := cal.TrackersPerSiteMin + r.Intn(span)
-	picked := make(map[string]bool, n)
-	var out []*advertiser.Tracker
+	return &trackerSampler{
+		entities: entities,
+		weights:  weights,
+		byEntity: byEntity,
+		unknowns: unknowns,
+		min:      cal.TrackersPerSiteMin,
+		span:     cal.TrackersPerSiteMax - cal.TrackersPerSiteMin + 1,
+	}
+}
+
+// sample draws one site's trackers.
+func (s *trackerSampler) sample(r randSource) []*advertiser.Tracker {
+	n := s.min + r.Intn(s.span)
+	out := make([]*advertiser.Tracker, 0, n)
 	for len(out) < n {
-		entity := entities[detrand.Pick(r, weights)]
+		entity := s.entities[detrand.Pick(r, s.weights)]
 		var candidates []*advertiser.Tracker
 		if entity == "unknown" {
-			candidates = unknowns
+			candidates = s.unknowns
 		} else {
-			candidates = byEntity[entity]
+			candidates = s.byEntity[entity]
 		}
 		if len(candidates) == 0 {
 			continue
 		}
 		t := candidates[r.Intn(len(candidates))]
-		if picked[t.Host] {
+		if picked(out, t.Host) {
 			// Dedup; with small builtin pools duplicates are common, so
 			// treat a repeat as consumed to guarantee termination.
 			n--
 			continue
 		}
-		picked[t.Host] = true
 		out = append(out, t)
 	}
 	return out
+}
+
+// picked reports whether a tracker on host is already in the set.
+func picked(set []*advertiser.Tracker, host string) bool {
+	for _, t := range set {
+		if t.Host == host {
+			return true
+		}
+	}
+	return false
 }
 
 // builtinsByEntity groups the named trackers by their organisation,

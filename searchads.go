@@ -293,12 +293,16 @@ type TelemetryEvent = telemetry.Event
 
 // Study owns one world and the artifacts derived from it.
 type Study struct {
-	cfg     Config
-	cfgErr  error // invalid config (e.g. unknown fault profile), surfaced on first use
-	world   *World
-	crawled bool // a live crawl has touched (or partially touched) the world
-	dataset *Dataset
-	report  *Report
+	cfg    Config
+	cfgErr error // invalid config (e.g. unknown fault profile), surfaced on first use
+	// blueprint is the study's seeded web, derived once; every world the
+	// study crawls is instantiated from it with wcfg.
+	blueprint *websim.Blueprint
+	wcfg      websim.Config
+	world     *World
+	crawled   bool // a live crawl has touched (or partially touched) the world
+	dataset   *Dataset
+	report    *Report
 	// reportOpts records the options the cached report was built with,
 	// so a later AnalyzeWith with different ones fails typed instead of
 	// pretending.
@@ -307,11 +311,20 @@ type Study struct {
 
 // NewStudy builds the simulated web for the given config.
 func NewStudy(cfg Config) *Study {
-	w, err := buildWorld(cfg)
-	return &Study{cfg: cfg, world: w, cfgErr: err}
+	wcfg, err := worldConfig(cfg)
+	s := &Study{cfg: cfg, cfgErr: err, wcfg: wcfg, blueprint: websim.Derive(wcfg)}
+	cfg.Telemetry.Inc(telemetry.CounterWorldDerivations)
+	s.world = s.instantiate()
+	return s
 }
 
-func buildWorld(cfg Config) (*World, error) {
+// worldConfig maps a study config onto its world's. An invalid fault
+// profile, adversary posture or countermeasure bundle comes back as the
+// error next to the world config built so far: the world is built
+// anyway (without the invalid part) so the study stays usable for
+// inspection, and the stashed error surfaces from every crawl entry
+// point.
+func worldConfig(cfg Config) (websim.Config, error) {
 	wcfg := websim.Config{
 		Seed:                    cfg.Seed,
 		Engines:                 cfg.Engines,
@@ -322,24 +335,27 @@ func buildWorld(cfg Config) (*World, error) {
 	if cfg.FaultProfile != "" || cfg.FaultRate != 0 {
 		rates, err := netsim.ProfileRates(cfg.FaultProfile, cfg.FaultRate)
 		if err != nil {
-			// Build the world anyway (zero faults) so the study object
-			// stays usable for inspection; the stashed error surfaces
-			// from every crawl entry point.
-			return websim.NewWorld(wcfg), err
+			return wcfg, err
 		}
 		wcfg.Faults.Rates = rates
 	}
 	if cfg.Adversary != "" && cfg.Adversary != "off" {
 		adv, err := netsim.PostureConfig(cfg.Adversary)
 		if err != nil {
-			return websim.NewWorld(wcfg), err
+			return wcfg, err
 		}
 		wcfg.Faults.Adversary = adv
 	}
 	if _, err := crawler.CountermeasureBundle(cfg.Countermeasures); err != nil {
-		return websim.NewWorld(wcfg), err
+		return wcfg, err
 	}
-	return websim.NewWorld(wcfg), nil
+	return wcfg, nil
+}
+
+// instantiate wires a fresh world from the study's blueprint.
+func (s *Study) instantiate() *World {
+	s.cfg.Telemetry.Inc(telemetry.CounterWorldInstantiations)
+	return s.blueprint.Instantiate(s.wcfg)
 }
 
 // FaultProfiles lists the chaos layer's named fault profiles.
@@ -352,27 +368,28 @@ func AdversaryPostures() []string { return netsim.AdversaryPostures() }
 func CountermeasureBundles() []string { return crawler.CountermeasureNames() }
 
 // World exposes the underlying simulated web (e.g. to serve it over
-// net/http via netsim.HTTPBridge). Starting a crawl after a previous
-// live stream was canceled or abandoned rebuilds the world (see
-// freshWorld), so hold on to the pointer only within one crawl's life.
+// net/http via netsim.HTTPBridge). The study derives its seeded web
+// (websim.Derive) once and wires worlds from it (Blueprint.Instantiate):
+// starting a crawl after a previous live stream was canceled or
+// abandoned instantiates a fresh world (see freshWorld), so hold on to
+// the pointer only within one crawl's life.
 func (s *Study) World() *World { return s.world }
 
 // freshWorld returns a world no crawl has touched. Origin servers mint
 // per-client identifier serials, so a world that served a partial or
 // discarded crawl would continue those streams and break determinism;
-// rebuilding from the config restores the exact fresh-study state.
+// instantiating anew from the blueprint restores the exact fresh-study
+// state without re-deriving the seeded web.
 func (s *Study) freshWorld() *World {
 	if s.crawled {
-		// cfgErr cannot appear here: entry points refuse to crawl a
-		// study whose config never validated.
-		s.world, _ = buildWorld(s.cfg)
+		s.world = s.instantiate()
 		s.crawled = false
 	}
 	return s.world
 }
 
 func (s *Study) crawlerConfig(w *World) crawler.Config {
-	// The bundle name was validated in buildWorld; an invalid one never
+	// The bundle name was validated in worldConfig; an invalid one never
 	// reaches a crawl (cfgErr short-circuits every entry point).
 	cm, _ := crawler.CountermeasureBundle(s.cfg.Countermeasures)
 	return crawler.Config{

@@ -99,6 +99,10 @@ func TestTelemetryDoesNotChangeReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Peak retention is a scheduling observation that can differ
+		// between any two runs, telemetry or not; ROADMAP item 1 moves
+		// it out of the result.
+		res.PeakRetainedIterations = 0
 		data, err := res.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -107,6 +111,28 @@ func TestTelemetryDoesNotChangeReport(t *testing.T) {
 	}
 	if off, on := run(nil), run(searchads.NewTelemetry()); off != on {
 		t.Error("sweep result JSON differs with telemetry attached")
+	}
+}
+
+// TestTelemetryCountsWorldBuilds pins world reuse in a study's own
+// telemetry: the seeded web is derived once, and a crawl started after
+// an abandoned live stream instantiates a fresh world from it instead
+// of deriving again.
+func TestTelemetryCountsWorldBuilds(t *testing.T) {
+	tele := searchads.NewTelemetry()
+	study := searchads.NewStudy(teleConfig(false, tele))
+	for range study.Iterations(t.Context()) {
+		break // abandon the live stream
+	}
+	if _, err := study.Crawl(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	snap := tele.Snapshot()
+	if got := snap.Counter("world_derivations"); got != 1 {
+		t.Errorf("world_derivations = %d, want 1", got)
+	}
+	if got := snap.Counter("world_instantiations"); got != 2 {
+		t.Errorf("world_instantiations = %d, want 2", got)
 	}
 }
 

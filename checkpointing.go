@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"time"
 
 	"searchads/internal/checkpoint"
 	"searchads/internal/crawler"
-	"searchads/internal/telemetry"
 )
 
 // Crash-safe checkpointing sentinels, re-exported from
@@ -31,6 +29,9 @@ var (
 // DefaultCheckpointEvery is the default checkpoint write interval, in
 // crawled iterations. The interval trades redone work after a kill
 // against checkpoint-write overhead; it never affects output bytes.
+// Each iteration is JSON-encoded once, when it is crawled, so a write
+// costs time linear in the prefix (a copy and a CRC), never a
+// re-encode of it.
 const DefaultCheckpointEvery = 25
 
 // configHash fingerprints every Config field that influences output
@@ -126,34 +127,23 @@ func (s *Study) crawlCheckpointed(ctx context.Context, prefix []*Iteration) (*Da
 	c := crawler.New(ccfg)
 	ds := c.NewDataset()
 	ds.Iterations = append(ds.Iterations, prefix...)
+	// The restored prefix is encoded once here; each crawled iteration
+	// is encoded once as it arrives, so a write re-encodes nothing.
+	ckpt := &checkpoint.Writer{Path: s.cfg.Checkpoint, ConfigHash: hash, Telemetry: s.cfg.Telemetry}
+	var enc checkpoint.Prefix
+	if err := ckpt.Append(&enc, prefix...); err != nil {
+		return nil, err
+	}
 	every := s.cfg.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
 	since := 0
-	save := func() error {
-		tele := s.cfg.Telemetry
-		if tele == nil {
-			return checkpoint.Save(s.cfg.Checkpoint, checkpoint.NewStudySnapshot(hash, ds.Iterations))
-		}
-		start := time.Now()
-		n, err := checkpoint.SaveN(s.cfg.Checkpoint, checkpoint.NewStudySnapshot(hash, ds.Iterations))
-		wall := time.Since(start)
-		tele.ObserveWall(telemetry.StageCheckpointWrite, wall)
-		tele.Inc(telemetry.CounterCheckpointWrites)
-		tele.Add(telemetry.CounterCheckpointBytes, uint64(n))
-		ev := telemetry.Event{Type: "checkpoint", Bytes: n, WallMicros: wall.Microseconds()}
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		tele.Emit(ev)
-		return err
-	}
 	for it, iterErr := range c.Iterations(ctx) {
 		if iterErr != nil {
 			// Write the final checkpoint before surfacing the abort so a
 			// kill at this boundary loses at most the interval's work.
-			if saveErr := save(); saveErr != nil {
+			if saveErr := ckpt.WriteStudy(&enc); saveErr != nil {
 				iterErr = errors.Join(iterErr, saveErr)
 			}
 			return ds, wrapCanceled(iterErr)
@@ -162,8 +152,11 @@ func (s *Study) crawlCheckpointed(ctx context.Context, prefix []*Iteration) (*Da
 			s.cfg.Sink(it)
 		}
 		ds.Iterations = append(ds.Iterations, it)
+		if err := ckpt.Append(&enc, it); err != nil {
+			return ds, fmt.Errorf("searchads: checkpoint write: %w", err)
+		}
 		if since++; since >= every {
-			if err := save(); err != nil {
+			if err := ckpt.WriteStudy(&enc); err != nil {
 				return ds, fmt.Errorf("searchads: checkpoint write: %w", err)
 			}
 			since = 0

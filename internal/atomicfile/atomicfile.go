@@ -10,10 +10,17 @@ import (
 	"path/filepath"
 )
 
-// WriteFile is the temp + fsync + rename + dir-fsync sequence: the data
-// lands in a temporary file in the destination's directory, is synced
-// and closed, and only then renamed over the destination.
-func WriteFile(path string, data []byte) error {
+// mode is the permission every written file gets: world-readable, as
+// os.WriteFile(path, data, 0o644) produced before writes went through a
+// temporary file (os.CreateTemp creates files 0600).
+const mode = 0o644
+
+// WriteFile is the temp + fsync + rename + dir-fsync sequence: the
+// chunks land, in order, in a temporary file in the destination's
+// directory, which is synced and closed, and only then renamed over the
+// destination. Passing the content as several chunks lets callers write
+// a large payload without first concatenating it.
+func WriteFile(path string, chunks ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -27,8 +34,13 @@ func WriteFile(path string, data []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("atomicfile: %s: %w", step, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail("write temp file", err)
+	for _, c := range chunks {
+		if _, err := tmp.Write(c); err != nil {
+			return fail("write temp file", err)
+		}
+	}
+	if err := tmp.Chmod(mode); err != nil {
+		return fail("chmod temp file", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail("fsync temp file", err)

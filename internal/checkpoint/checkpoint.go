@@ -23,12 +23,21 @@
 //
 // # Atomicity
 //
-// Save never exposes a partially-written checkpoint: it writes to a
+// A write never exposes a partially-written checkpoint: it writes to a
 // temporary file in the target directory, fsyncs it, renames it over
 // the destination, and fsyncs the directory. A process killed at any
 // instant therefore leaves either the previous complete checkpoint or
 // the new complete checkpoint — the kill-point property tests exercise
 // exactly this.
+//
+// # Write cost
+//
+// A run appends each crawled iteration to a Prefix, which JSON-encodes
+// it once. A Writer then frames the cached bytes between a small
+// encoded head and tail, so a write encodes only the iterations crawled
+// since the previous one and copies the rest: its cost is linear in the
+// prefix, not a re-encode of it. The file format is unchanged — a
+// written file equals the header framing json.Marshal of the snapshot.
 //
 // # What a snapshot holds
 //
@@ -55,7 +64,6 @@ import (
 	"io/fs"
 	"os"
 
-	"searchads/internal/atomicfile"
 	"searchads/internal/crawler"
 )
 
@@ -181,47 +189,6 @@ func (s *Snapshot) validate() error {
 		return fmt.Errorf("%w: unknown snapshot kind %q", ErrCheckpointCorrupt, s.Kind)
 	}
 	return nil
-}
-
-// NewStudySnapshot builds a study snapshot from the emitted prefix.
-func NewStudySnapshot(configHash string, prefix []*crawler.Iteration) *Snapshot {
-	cursor := make(map[string]int)
-	for _, it := range prefix {
-		cursor[it.Engine]++
-	}
-	return &Snapshot{
-		Kind:       "study",
-		ConfigHash: configHash,
-		Study:      &StudyState{Cursor: cursor, Iterations: prefix},
-	}
-}
-
-// Save atomically writes the snapshot: marshal, CRC, temp file in the
-// destination directory, fsync, rename, directory fsync. Either the
-// old or the new checkpoint survives a kill at any instant.
-func Save(path string, s *Snapshot) error {
-	_, err := SaveN(path, s)
-	return err
-}
-
-// SaveN is Save reporting the number of bytes written (header +
-// payload), for callers accounting checkpoint I/O. On error the count
-// is 0.
-func SaveN(path string, s *Snapshot) (int, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: marshal snapshot: %w", err)
-	}
-	buf := make([]byte, headerSize+len(payload))
-	copy(buf[0:4], magic[:])
-	binary.LittleEndian.PutUint32(buf[4:8], FormatVersion)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	if err := atomicfile.WriteFile(path, buf); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
 }
 
 // Load reads and verifies a checkpoint. It returns fs.ErrNotExist

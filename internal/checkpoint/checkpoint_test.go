@@ -14,6 +14,20 @@ import (
 	"searchads/internal/crawler"
 )
 
+// studySnapshot builds the study snapshot a run with this emitted
+// prefix checkpoints.
+func studySnapshot(configHash string, prefix []*crawler.Iteration) *Snapshot {
+	cursor := make(map[string]int)
+	for _, it := range prefix {
+		cursor[it.Engine]++
+	}
+	return &Snapshot{
+		Kind:       "study",
+		ConfigHash: configHash,
+		Study:      &StudyState{Cursor: cursor, Iterations: prefix},
+	}
+}
+
 func sampleSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	prefix := []*crawler.Iteration{
@@ -22,7 +36,7 @@ func sampleSnapshot(t *testing.T) *Snapshot {
 			DisplayedAds: []crawler.AdRecord{{Href: "https://x/", LandingDomain: "shop.example", Position: 1}}},
 		{Engine: "google", Index: 0, Instance: "google-0000", Query: "q0", ClickedAd: -1},
 	}
-	return NewStudySnapshot("deadbeef", prefix)
+	return studySnapshot("deadbeef", prefix)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -230,7 +244,7 @@ func TestHashConfigStable(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.ckpt")
 	prefix := []*crawler.Iteration{{Engine: "bing", Index: 0, Instance: "bing-0000", ClickedAd: -1}}
-	if err := Save(path, NewStudySnapshot("hash", prefix)); err != nil {
+	if err := Save(path, studySnapshot("hash", prefix)); err != nil {
 		f.Fatal(err)
 	}
 	good, _ := os.ReadFile(path)

@@ -210,16 +210,20 @@ func (d *Dataset) Engines() []string {
 	return names
 }
 
-// Save writes the dataset as JSON, atomically: the bytes land in a
-// temporary file that is fsynced and renamed over the destination, so a
-// SIGINT or crash mid-save leaves either the previous dataset or the
-// new one — never a truncated hybrid.
+// Save writes the dataset as JSON indented one space per level (the
+// bytes of json.MarshalIndent(d, "", " ")), atomically: the bytes land
+// in a temporary file that is fsynced and renamed over the destination,
+// so a SIGINT or crash mid-save leaves either the previous dataset or
+// the new one — never a truncated hybrid. The file is mode 0644.
 func (d *Dataset) Save(path string) error {
 	d.stampVersion()
-	data, err := json.MarshalIndent(d, "", " ")
+	data, err := json.Marshal(d)
 	if err != nil {
 		return fmt.Errorf("crawler: marshal dataset: %w", err)
 	}
+	// json.MarshalIndent would rescan data through json.Indent's
+	// validating state machine; data is valid by construction.
+	data = indent(make([]byte, 0, len(data)+len(data)/2), data)
 	if err := atomicfile.WriteFile(path, data); err != nil {
 		return fmt.Errorf("crawler: write dataset: %w", err)
 	}

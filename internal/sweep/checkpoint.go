@@ -6,15 +6,15 @@ import (
 	"fmt"
 	"io/fs"
 	"sync"
-	"time"
 
 	"searchads/internal/checkpoint"
 	"searchads/internal/crawler"
-	"searchads/internal/telemetry"
 )
 
-// defaultCheckpointEvery is the per-cell checkpoint write interval in
-// crawled iterations when Options.CheckpointEvery is zero.
+// defaultCheckpointEvery is the checkpoint write interval in crawled
+// iterations when Options.CheckpointEvery is zero. Each iteration is
+// encoded once, when crawled, so a write costs time linear in the
+// in-flight prefixes, never a re-encode of them.
 const defaultCheckpointEvery = 25
 
 // sweepCheckpointer maintains the on-disk progress snapshot of a
@@ -22,13 +22,16 @@ const defaultCheckpointEvery = 25
 // crawl and complete, written atomically so a kill at any instant
 // leaves a loadable checkpoint.
 type sweepCheckpointer struct {
-	path  string
-	hash  string
+	w     *checkpoint.Writer
 	every int
-	tele  *telemetry.Registry // nil = off
+	// prefixes[i] is cell i's in-flight prefix, encoded. Only the worker
+	// running cell i touches it, outside mu, so workers encode in
+	// parallel; they publish its Bytes into encoded under mu.
+	prefixes []checkpoint.Prefix
 
 	mu        sync.Mutex
-	cells     []checkpoint.CellState
+	cells     []checkpoint.CellState // without iterations
+	encoded   [][]byte               // each cell's published prefix bytes
 	sinceSave int
 }
 
@@ -59,7 +62,12 @@ func (r *runner) initCheckpoint() error {
 	if every <= 0 {
 		every = defaultCheckpointEvery
 	}
-	k := &sweepCheckpointer{path: r.opts.Checkpoint, hash: hash, every: every, tele: r.opts.Telemetry}
+	k := &sweepCheckpointer{
+		w:        &checkpoint.Writer{Path: r.opts.Checkpoint, ConfigHash: hash, Telemetry: r.opts.Telemetry},
+		every:    every,
+		prefixes: make([]checkpoint.Prefix, len(r.cells)),
+		encoded:  make([][]byte, len(r.cells)),
+	}
 	k.cells = make([]checkpoint.CellState, len(r.cells))
 	for i, c := range r.cells {
 		k.cells[i] = checkpoint.CellState{Scenario: c.Scenario, Seed: c.Seed}
@@ -100,23 +108,30 @@ func (r *runner) initCheckpoint() error {
 			k.cells[i] = sc
 		case len(sc.Iterations) > 0:
 			r.resume[i] = sc.Iterations
-			k.cells[i] = sc
+			if err := k.w.Append(&k.prefixes[i], sc.Iterations...); err != nil {
+				return err
+			}
+			k.encoded[i] = k.prefixes[i].Bytes()
 		}
 	}
 	r.ckpt = k
 	return nil
 }
 
-// appendIteration records one crawled iteration into the cell's
+// appendIteration encodes one crawled iteration onto the cell's
 // in-flight prefix and writes the checkpoint once the interval fills.
 // This retention is the checkpointed sweep's documented memory
-// trade-off: in-flight prefixes live until their cell completes, so
-// peak retention grows to O(parallelism · cell size) instead of
-// O(parallelism).
+// trade-off: in-flight prefixes live, encoded, until their cell
+// completes, so peak retention grows to O(parallelism · cell size)
+// instead of O(parallelism).
 func (k *sweepCheckpointer) appendIteration(i int, it *crawler.Iteration) error {
+	p := &k.prefixes[i]
+	if err := k.w.Append(p, it); err != nil {
+		return err
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.cells[i].Iterations = append(k.cells[i].Iterations, it)
+	k.encoded[i] = p.Bytes()
 	if k.sinceSave++; k.sinceSave >= k.every {
 		k.sinceSave = 0
 		return k.save()
@@ -133,36 +148,18 @@ func (k *sweepCheckpointer) cellDone(i int, cr CellResult) error {
 	if err != nil {
 		return fmt.Errorf("sweep: marshal cell result: %w", err)
 	}
+	k.prefixes[i] = checkpoint.Prefix{} // the cell's worker owns it
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.cells[i].Done = true
 	k.cells[i].Result = payload
-	k.cells[i].Iterations = nil
+	k.encoded[i] = nil
 	return k.save()
 }
 
 // save writes the snapshot; callers hold k.mu.
 func (k *sweepCheckpointer) save() error {
-	snap := &checkpoint.Snapshot{
-		Kind:       "sweep",
-		ConfigHash: k.hash,
-		Sweep:      &checkpoint.SweepState{Cells: k.cells},
-	}
-	if k.tele == nil {
-		return checkpoint.Save(k.path, snap)
-	}
-	start := time.Now() //lint:allow detclock wall-clock checkpoint-write timing feeds telemetry percentiles, never outputs
-	n, err := checkpoint.SaveN(k.path, snap)
-	wall := time.Since(start) //lint:allow detclock wall-clock checkpoint-write timing feeds telemetry percentiles, never outputs
-	k.tele.ObserveWall(telemetry.StageCheckpointWrite, wall)
-	k.tele.Inc(telemetry.CounterCheckpointWrites)
-	k.tele.Add(telemetry.CounterCheckpointBytes, uint64(n))
-	ev := telemetry.Event{Type: "checkpoint", Bytes: n, WallMicros: wall.Microseconds()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	k.tele.Emit(ev)
-	return err
+	return k.w.WriteSweep(k.cells, k.encoded)
 }
 
 // finalize is called once workers have drained: a fully successful
@@ -172,7 +169,7 @@ func (k *sweepCheckpointer) finalize(clean bool) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if clean {
-		return checkpoint.Remove(k.path)
+		return checkpoint.Remove(k.w.Path)
 	}
 	return k.save()
 }

@@ -172,7 +172,7 @@ func TestSweepCheckpointMismatch(t *testing.T) {
 		t.Fatalf("different matrix: got %v, want ErrCheckpointMismatch", err)
 	}
 
-	study := checkpoint.NewStudySnapshot("somehash", nil)
+	study := &checkpoint.Snapshot{Kind: "study", ConfigHash: "somehash", Study: &checkpoint.StudyState{Cursor: map[string]int{}}}
 	if err := checkpoint.Save(path, study); err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,9 @@ const (
 	// StageAnalysisFold is one iteration's incremental §4 analysis fold
 	// (Accumulator.Add), as timed by the facade and sweep folds.
 	StageAnalysisFold
-	// StageCheckpointWrite is one crash-safe checkpoint write: marshal,
-	// CRC, atomic temp-file write, fsync, rename, directory fsync.
+	// StageCheckpointWrite is one crash-safe checkpoint write: encoding
+	// the iterations crawled since the previous write, CRC, atomic
+	// temp-file write, fsync, rename, directory fsync.
 	StageCheckpointWrite
 	// StageSweepCell is one sweep cell end to end: world build, crawl,
 	// fold, aggregation hand-off.

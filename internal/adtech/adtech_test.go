@@ -13,8 +13,8 @@ import (
 )
 
 func TestBuildChainNesting(t *testing.T) {
-	landing := urlx.MustParse("https://shop.example/land?gclid=X")
-	u := BuildChain([]string{"clickserve.dartsearch.net", "ad.doubleclick.net"}, landing)
+	landing := "https://shop.example/land?gclid=X"
+	u := urlx.MustParse(BuildChain([]string{"clickserve.dartsearch.net", "ad.doubleclick.net"}, landing))
 	if u.Host != "clickserve.dartsearch.net" || u.Path != "/link/click" {
 		t.Fatalf("outer hop = %s%s", u.Host, u.Path)
 	}
@@ -24,11 +24,11 @@ func TestBuildChainNesting(t *testing.T) {
 		t.Fatalf("inner hop = %s%s", u2.Host, u2.Path)
 	}
 	next2, _ := urlx.Param(u2, NextParam)
-	if next2 != landing.String() {
+	if next2 != landing {
 		t.Fatalf("innermost = %q", next2)
 	}
 	// Empty chain returns the landing URL itself.
-	if got := BuildChain(nil, landing); got.String() != landing.String() {
+	if got := BuildChain(nil, landing); got != landing {
 		t.Fatalf("empty chain = %s", got)
 	}
 }
@@ -161,17 +161,20 @@ func TestPlatformBuildClick(t *testing.T) {
 		AutoTag: true,
 	}
 	click := g.BuildClick(c, "google-0001")
-	if click.Href.Host != "www.googleadservices.com" || click.Href.Path != "/pagead/aclk" {
-		t.Fatalf("click server = %s%s", click.Href.Host, click.Href.Path)
-	}
 	if click.ClickID == "" || !strings.HasPrefix(click.ClickID, "Cj0KCQjw") {
 		t.Fatalf("gclid = %q", click.ClickID)
 	}
-	if got, _ := urlx.Param(click.FinalLanding, "gclid"); got != click.ClickID {
-		t.Fatalf("landing gclid = %q", got)
+	if want := "https://shoes.example/spring-sale?gclid=" + click.ClickID; click.Landing != want {
+		t.Fatalf("landing = %q, want %q", click.Landing, want)
 	}
-	// Unwind the chain: click server -> dartsearch -> doubleclick -> landing.
-	hops := unwind(t, click.Href)
+	// The chain an engine links its ad to enters the platform's click
+	// server at its click path, then bounces click server -> dartsearch
+	// -> doubleclick -> landing.
+	href := urlx.MustParse(BuildChain(append([]string{g.ClickHost}, c.Stack...), click.Landing))
+	if href.Host != "www.googleadservices.com" || href.Path != g.ClickPath {
+		t.Fatalf("click server = %s%s", href.Host, href.Path)
+	}
+	hops, innermost := unwind(t, href)
 	want := []string{"www.googleadservices.com", "clickserve.dartsearch.net", "ad.doubleclick.net", "shoes.example"}
 	if len(hops) != len(want) {
 		t.Fatalf("hops = %v", hops)
@@ -181,16 +184,21 @@ func TestPlatformBuildClick(t *testing.T) {
 			t.Fatalf("hops = %v, want %v", hops, want)
 		}
 	}
+	if innermost != click.Landing {
+		t.Fatalf("innermost = %q, want %q", innermost, click.Landing)
+	}
 }
 
-func unwind(t *testing.T, u *url.URL) []string {
+// unwind follows a chain's NextParam links and returns every hop's host
+// and the innermost URL.
+func unwind(t *testing.T, u *url.URL) ([]string, string) {
 	t.Helper()
 	var hosts []string
 	for {
 		hosts = append(hosts, u.Host)
 		next, ok := urlx.Param(u, NextParam)
 		if !ok {
-			return hosts
+			return hosts, u.String()
 		}
 		u = urlx.MustParse(next)
 	}
@@ -206,20 +214,30 @@ func TestMicrosoftClickWithCrossTag(t *testing.T) {
 		OtherUIDParam: "irclickid",
 	}
 	click := m.BuildClick(c, "bing-0001")
-	if click.Href.Host != "www.bing.com" || click.Href.Path != "/aclk" {
-		t.Fatalf("click server = %s%s", click.Href.Host, click.Href.Path)
+	if href := urlx.MustParse(BuildChain([]string{m.ClickHost}, click.Landing)); href.Host != "www.bing.com" || href.Path != m.ClickPath {
+		t.Fatalf("click server = %s%s", href.Host, href.Path)
 	}
-	q := click.FinalLanding.Query()
+	landing := urlx.MustParse(click.Landing)
+	q := landing.Query()
 	if q.Get("msclkid") == "" || q.Get("gclid") == "" || q.Get("irclickid") == "" {
 		t.Fatalf("landing params = %v", q)
 	}
 	if len(q.Get("msclkid")) != 32 {
 		t.Fatalf("msclkid shape = %q", q.Get("msclkid"))
 	}
+	// Parameters are appended in sorted key order.
+	var keys []string
+	urlx.QueryPairs(landing.RawQuery, func(k, _ string) bool {
+		keys = append(keys, k)
+		return true
+	})
+	if strings.Join(keys, ",") != "gclid,irclickid,msclkid" {
+		t.Fatalf("landing query keys = %v", keys)
+	}
 	// Without auto-tag, no click ID.
 	plain := m.BuildClick(&Campaign{ID: "c3", Landing: urlx.MustParse("https://x.example/")}, "bing-0001")
-	if plain.ClickID != "" || plain.FinalLanding.RawQuery != "" {
-		t.Fatalf("un-tagged campaign got params: %s", plain.FinalLanding)
+	if plain.ClickID != "" || plain.Landing != "https://x.example/" {
+		t.Fatalf("un-tagged campaign got params: %s", plain.Landing)
 	}
 }
 

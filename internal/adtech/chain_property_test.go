@@ -1,6 +1,7 @@
 package adtech
 
 import (
+	"net/url"
 	"testing"
 	"testing/quick"
 
@@ -27,9 +28,7 @@ func TestBuildChainUnwindInverse(t *testing.T) {
 			hops[i] = hostPool[int(s)%len(hostPool)]
 		}
 		landing := urlx.MustParse("https://shop.example/landing?x=" + string(rune('a'+pathSeed%26)))
-		chain := BuildChain(hops, landing)
-
-		u := chain
+		u := urlx.MustParse(BuildChain(hops, landing.String()))
 		for i := 0; ; i++ {
 			next, ok := urlx.Param(u, NextParam)
 			if !ok {
@@ -55,13 +54,13 @@ func TestBuildChainUnwindInverse(t *testing.T) {
 // TestChainHopPathsApplied: every known hop gets its documented endpoint
 // path.
 func TestChainHopPathsApplied(t *testing.T) {
-	landing := urlx.MustParse("https://d.example/")
+	landing := "https://d.example/"
 	for host, wantPath := range map[string]string{
 		"clickserve.dartsearch.net": "/link/click",
 		"6008.xg4ken.com":           "/media/redir.php", // via registrable-domain fallback
 		"ad.atdmt.com":              "/c/go",
 	} {
-		u := BuildChain([]string{host}, landing)
+		u := urlx.MustParse(BuildChain([]string{host}, landing))
 		if u.Path != wantPath {
 			t.Errorf("%s path = %s, want %s", host, u.Path, wantPath)
 		}
@@ -88,4 +87,51 @@ func TestMintedClickIDShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refBuildChain is the url.URL-based chain builder that BuildChain
+// replaced, kept as the byte-for-byte reference: every level is a
+// url.URL whose query is url.Values-encoded and whose String is the next
+// level's payload.
+func refBuildChain(hops []string, landing *url.URL) *url.URL {
+	next := landing
+	for i := len(hops) - 1; i >= 0; i-- {
+		host := hops[i]
+		u := &url.URL{Scheme: "https", Host: host, Path: HopPath(host)}
+		u.RawQuery = url.Values{NextParam: {next.String()}}.Encode()
+		next = u
+	}
+	return next
+}
+
+// chainHopPool mixes exact, wildcard-domain, engine and unknown hosts.
+var chainHopPool = []string{
+	"clickserve.dartsearch.net", "ad.doubleclick.net", "6102.xg4ken.com",
+	"www.googleadservices.com", "www.bing.com", "api.qwant.com",
+	"monitor.clickcease.com", "unknown-hop.example",
+}
+
+// FuzzBuildChain pins the string chain builder to the url.URL reference
+// for arbitrary hop sequences and landing strings, including landings
+// whose bytes need escaping (%, space, &, +, non-ASCII) at every level.
+func FuzzBuildChain(f *testing.F) {
+	f.Add([]byte{0, 1}, "https://shop.example/land?gclid=Cj0K+QjW/x&a=b")
+	f.Add([]byte{3, 2, 6, 7}, "https://shop.example/a b?q=100%&x=ü#frag")
+	f.Add([]byte{}, "https://x.example/")
+	f.Add([]byte{4}, "")
+	f.Fuzz(func(t *testing.T, sel []byte, landing string) {
+		if len(sel) > 8 {
+			sel = sel[:8]
+		}
+		hops := make([]string, len(sel))
+		for i, s := range sel {
+			hops[i] = chainHopPool[int(s)%len(chainHopPool)]
+		}
+		// A URL with only Opaque set renders it verbatim, so the
+		// reference sees exactly the landing bytes BuildChain gets.
+		want := refBuildChain(hops, &url.URL{Opaque: landing}).String()
+		if got := BuildChain(hops, landing); got != want {
+			t.Fatalf("BuildChain(%q, %q)\n got %q\nwant %q", hops, landing, got, want)
+		}
+	})
 }

@@ -119,15 +119,16 @@ func (p *Platform) MintOtherUID(client string) string {
 	return p.seed.Derive("otheruid", client).DeriveN("n", n).Token(24, detrand.AlphaNum)
 }
 
-// AdClick is a fully-constructed ad click: the href placed in the SERP
-// and the metadata the engine needs to render the ad element.
+// AdClick is one rendered ad impression: the decorated landing URL and
+// the metadata the engine needs to render the ad element. The click href
+// itself is composed by the engine (its own bounce endpoint and upstream
+// hops wrap the chain), from Landing and the campaign's stack.
 type AdClick struct {
-	// Href is the URL the browser navigates to when the ad is clicked
-	// (the click server, wrapping the whole bounce chain).
-	Href *url.URL
-	// FinalLanding is the landing URL including appended tracking
-	// parameters.
-	FinalLanding *url.URL
+	// Landing is the landing URL with the impression's tracking
+	// parameters appended (click IDs, extra UID parameters), in its
+	// final string form: chain construction and the engines' click
+	// beacons embed it as is.
+	Landing string
 	// ClickID is the minted platform click ID ("" if the campaign does
 	// not auto-tag).
 	ClickID string
@@ -135,32 +136,41 @@ type AdClick struct {
 	Campaign *Campaign
 }
 
-// BuildClick constructs the click URL for one rendered ad impression:
-// landing-URL decoration (click IDs, extra UID params), the campaign's
-// redirector stack, and the platform click server on the outside.
+// BuildClick mints the identifiers for one rendered ad impression and
+// decorates the campaign's landing URL with them (click IDs, extra UID
+// params). The parameters are set in sorted key order, and a later one
+// with the same name replaces an earlier one.
 func (p *Platform) BuildClick(c *Campaign, client string) *AdClick {
-	landing := urlx.CopyURL(c.Landing)
 	click := &AdClick{Campaign: c}
-	params := map[string]string{}
+	var buf [6]string
+	kv := buf[:0]
+	set := func(k, v string) {
+		for i := 0; i < len(kv); i += 2 {
+			if kv[i] == k {
+				kv[i+1] = v
+				return
+			}
+		}
+		kv = append(kv, k, v)
+	}
 	if c.AutoTag {
 		click.ClickID = p.MintClickID(client)
-		params[p.ClickIDParam] = click.ClickID
+		set(p.ClickIDParam, click.ClickID)
 	}
 	if c.CrossTagGCLID && p.ClickIDParam != "gclid" {
 		n := p.seq.Next(client)
-		params["gclid"] = "Cj0KCQjw" + p.seed.Derive("crossgclid", client).DeriveN("n", n).Token(48, detrand.Base64URLLike)
+		set("gclid", "Cj0KCQjw"+p.seed.Derive("crossgclid", client).DeriveN("n", n).Token(48, detrand.Base64URLLike))
 	}
 	if c.OtherUIDParam != "" {
-		params[c.OtherUIDParam] = p.MintOtherUID(client)
+		set(c.OtherUIDParam, p.MintOtherUID(client))
 	}
-	if len(params) > 0 {
-		landing = urlx.WithParams(landing, params)
+	// Insertion sort of the (at most three) pairs by key.
+	for i := 2; i < len(kv); i += 2 {
+		for j := i; j > 0 && kv[j] < kv[j-2]; j -= 2 {
+			kv[j], kv[j+1], kv[j-2], kv[j-1] = kv[j-2], kv[j-1], kv[j], kv[j+1]
+		}
 	}
-	click.FinalLanding = landing
-	inner := BuildChain(c.Stack, landing)
-	click.Href = BuildChain([]string{p.ClickHost}, inner)
-	// The click server's own hop uses the platform's click path.
-	click.Href.Path = p.ClickPath
+	click.Landing = urlx.Decorate(c.Landing, kv...)
 	return click
 }
 

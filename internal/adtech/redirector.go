@@ -7,7 +7,7 @@ package adtech
 
 import (
 	"net/http"
-	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -182,8 +182,7 @@ func (r *Registry) referrerBounce(p *Policy, req *netsim.Request, next string) *
 		if uid == "" {
 			uid = r.mintUID(p.Host, req.Client)
 		}
-		own := urlx.CopyURL(req.URL)
-		own = urlx.WithParams(own, map[string]string{"ruid": uid})
+		own := urlx.WithParams(req.URL, map[string]string{"ruid": uid})
 		resp := netsim.Redirect(http.StatusFound, own.String())
 		if _, already := req.Cookie(p.CookieName); !already {
 			c := netsim.NewCookie(p.CookieName, uid)
@@ -252,16 +251,34 @@ func HopPath(host string) string {
 // returned URL enters hops[0]; each hop's NextParam carries the following
 // hop; the innermost target is the landing URL. An empty hops slice
 // returns the landing URL itself.
-func BuildChain(hops []string, landing *url.URL) *url.URL {
-	next := landing
-	for i := len(hops) - 1; i >= 0; i-- {
-		host := hops[i]
-		u := &url.URL{Scheme: "https", Host: host, Path: HopPath(host)}
-		// One builder pass instead of url.Values{}.Encode(): chains are
-		// rebuilt for all four ads of every SERP render, and the nested
-		// next= payload grows quadratically with hop depth.
-		u.RawQuery = urlx.EncodeQuery(NextParam, next.String())
-		next = u
+//
+// Levels are built inside out, each into one of two buffers that swap
+// roles: a level escapes the one below it straight out of the other
+// buffer, so the only string made is the result. Chains are rebuilt for
+// all four ads of every SERP render, and the nested next= payload grows
+// with hop depth.
+func BuildChain(hops []string, landing string) string {
+	if len(hops) == 0 {
+		return landing
 	}
-	return next
+	last := len(hops) - 1
+	cur := appendHop(nil, hops[last], landing)
+	var spare []byte
+	for i := last - 1; i >= 0; i-- {
+		spare = appendHop(spare[:0], hops[i], cur)
+		cur, spare = spare, cur
+	}
+	return string(cur)
+}
+
+// appendHop appends "https://host/path?next=<escaped next>" to dst,
+// growing it once to the exact length.
+func appendHop[S string | []byte](dst []byte, host string, next S) []byte {
+	path := HopPath(host)
+	dst = slices.Grow(dst, len("https://")+len(host)+len(path)+len("?"+NextParam+"=")+urlx.QueryEscapeLen(next))
+	dst = append(dst, "https://"...)
+	dst = append(dst, host...)
+	dst = append(dst, path...)
+	dst = append(dst, "?"+NextParam+"="...)
+	return urlx.AppendQueryEscape(dst, next)
 }

@@ -21,20 +21,18 @@ func buildWorld(t *testing.T) *netsim.Network {
 
 	n.Handle("a.com", netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
 		resp := netsim.NewResponse(http.StatusOK)
+		link := netsim.NewElement("a",
+			"href", "https://r.com/bounce?dest=https%3A%2F%2Fdest.com%2Fland",
+			"ping", "https://a.com/ping")
+		link.OnClick = []netsim.Beacon{{
+			Method: http.MethodPost,
+			URL:    "https://a.com/clicklog",
+			Type:   netsim.TypePing,
+			Body:   "clicked",
+		}}
 		resp.Page = &netsim.Page{
 			Title: "start",
-			Root: netsim.NewElement("div").Append(
-				&netsim.Element{
-					Tag:   "a",
-					Attrs: map[string]string{"href": "https://r.com/bounce?dest=https%3A%2F%2Fdest.com%2Fland", "ping": "https://a.com/ping"},
-					OnClick: []netsim.Beacon{{
-						Method: http.MethodPost,
-						URL:    "https://a.com/clicklog",
-						Type:   netsim.TypePing,
-						Body:   "clicked",
-					}},
-				},
-			),
+			Root:  netsim.NewElement("div").Append(link),
 			Resources: []netsim.ResourceRef{
 				{URL: "https://tracker.com/t.js", Type: netsim.TypeScript},
 			},

@@ -47,7 +47,7 @@ func TestReferrerPreservedAcross302(t *testing.T) {
 	n, refs := referrerWorld(t)
 	b := New(n, Options{Seed: detrand.New(1)})
 	b.Navigate("https://origin.com/")
-	link := b.Page().Root.Find(func(e *netsim.Element) bool { return e.Attrs["id"] == "via302" })
+	link := b.Page().Root.Find(func(e *netsim.Element) bool { return e.Attr("id") == "via302" })
 	if _, err := b.Click(link); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestReferrerRewrittenByJSRedirect(t *testing.T) {
 	n, refs := referrerWorld(t)
 	b := New(n, Options{Seed: detrand.New(1)})
 	b.Navigate("https://origin.com/")
-	link := b.Page().Root.Find(func(e *netsim.Element) bool { return e.Attrs["id"] == "viajs" })
+	link := b.Page().Root.Find(func(e *netsim.Element) bool { return e.Attr("id") == "viajs" })
 	if _, err := b.Click(link); err != nil {
 		t.Fatal(err)
 	}

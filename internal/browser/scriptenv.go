@@ -104,7 +104,7 @@ func (e *scriptEnv) DecorateLinks(fn func(href *url.URL) *url.URL) {
 			u = e.pageURL.ResolveReference(u)
 		}
 		if replacement := fn(u); replacement != nil {
-			el.Attrs["href"] = replacement.String()
+			el.SetAttr("href", replacement.String())
 		}
 		return true
 	})

@@ -20,13 +20,13 @@ type ErrorClass string
 // origin's own 403 — classify identically); the last two are
 // crawl-level outcomes no network fault produces.
 const (
-	ClassDNS          ErrorClass = "dns"
-	ClassTLS          ErrorClass = "tls"
-	ClassTimeout      ErrorClass = "timeout"
-	ClassHTTP403      ErrorClass = "http_403"
-	ClassHTTP429      ErrorClass = "http_429"
-	ClassHTTP5xx      ErrorClass = "http_5xx"
-	ClassBotwall      ErrorClass = "botwall"
+	ClassDNS     ErrorClass = "dns"
+	ClassTLS     ErrorClass = "tls"
+	ClassTimeout ErrorClass = "timeout"
+	ClassHTTP403 ErrorClass = "http_403"
+	ClassHTTP429 ErrorClass = "http_429"
+	ClassHTTP5xx ErrorClass = "http_5xx"
+	ClassBotwall ErrorClass = "botwall"
 	// ClassCaptcha is a challenge the solve-or-abandon policy abandoned
 	// (served only by the stateful adversary, never the i.i.d. walk).
 	ClassCaptcha      ErrorClass = "captcha"

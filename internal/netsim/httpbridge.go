@@ -3,7 +3,7 @@ package netsim
 import (
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,15 +110,15 @@ func renderElement(b *strings.Builder, e *Element) {
 		return
 	}
 	b.WriteString("<" + e.Tag)
-	// Attrs is a map: serialize in sorted key order so rendered HTML is
-	// byte-identical across runs.
-	keys := make([]string, 0, len(e.Attrs))
-	for k := range e.Attrs {
-		keys = append(keys, k)
+	// Attributes are written in sorted key order, whatever order the
+	// element was built in.
+	keys := make([]int, 0, len(e.attrs)/2)
+	for i := 0; i < len(e.attrs); i += 2 {
+		keys = append(keys, i)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(" " + k + `="` + htmlEscape(e.Attrs[k]) + `"`)
+	slices.SortFunc(keys, func(a, b int) int { return strings.Compare(e.attrs[a], e.attrs[b]) })
+	for _, i := range keys {
+		b.WriteString(" " + e.attrs[i] + `="` + htmlEscape(e.attrs[i+1]) + `"`)
 	}
 	b.WriteString(">")
 	b.WriteString(htmlEscape(e.Text))

@@ -226,6 +226,44 @@ func TestNewElementPanicsOnOddPairs(t *testing.T) {
 	NewElement("a", "href")
 }
 
+// TestSetAttrKeepsKeysUnique: SetAttr replaces an existing key in place
+// and appends a new one, so an element never carries a key twice; a
+// repeated key in NewElement is a programming error.
+func TestSetAttrKeepsKeysUnique(t *testing.T) {
+	a := NewElement("a", "href", "https://old.example/", "data-ad", "1")
+	a.SetAttr("href", "https://new.example/?uid=1")
+	a.SetAttr("ping", "https://p.example/")
+	if got := a.Attr("href"); got != "https://new.example/?uid=1" {
+		t.Fatalf("href = %q", got)
+	}
+	if got := a.Attr("ping"); got != "https://p.example/" {
+		t.Fatalf("ping = %q", got)
+	}
+	html := RenderHTML(&Page{Root: a})
+	if n := strings.Count(html, "href="); n != 1 {
+		t.Fatalf("href rendered %d times: %s", n, html)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewElement with a repeated key did not panic")
+		}
+	}()
+	NewElement("a", "href", "x", "id", "y", "href", "z")
+}
+
+// TestRenderHTMLSortsAttributes: attributes render in sorted key order
+// whatever order the element was built and decorated in.
+func TestRenderHTMLSortsAttributes(t *testing.T) {
+	el := NewElement("a", "href", "h", "data-pos", "2", "ad", "1")
+	el.SetAttr("class", "c")
+	el.SetAttr("data-pos", "3")
+	got := RenderHTML(&Page{Root: el})
+	want := `<a ad="1" class="c" data-pos="3" href="h"></a>`
+	if !strings.Contains(got, want) {
+		t.Fatalf("rendered %s, want element %s", got, want)
+	}
+}
+
 func TestWalkEarlyStop(t *testing.T) {
 	root := NewElement("div").Append(NewElement("a"), NewElement("b"), NewElement("c"))
 	var visited int

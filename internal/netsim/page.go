@@ -34,10 +34,14 @@ type ResourceRef struct {
 }
 
 // Element is a DOM-like node. Only the attributes the crawler inspects are
-// modelled.
+// modelled. They are stored as a flat slice of key/value pairs (key1,
+// val1, key2, val2, ...) with distinct keys, in the order they were
+// given: an element carries a handful, so a linear scan beats a map, and
+// NewElement keeps its variadic slice as the storage. Read them with
+// Attr and write them with SetAttr, which replaces a key in place.
 type Element struct {
 	Tag      string
-	Attrs    map[string]string
+	attrs    []string
 	Text     string
 	Children []*Element
 	// OnClick lists beacon requests fired by click handlers before
@@ -56,25 +60,46 @@ type Beacon struct {
 }
 
 // NewElement constructs an element with the given tag and attribute pairs
-// (key1, val1, key2, val2, ...). It panics on an odd number of pairs,
-// which is always a programming error in the simulator.
+// (key1, val1, key2, val2, ...). The element takes kv as its attribute
+// storage without copying it. It panics on an odd number of pairs or a
+// repeated key, which are always programming errors in the simulator.
 func NewElement(tag string, kv ...string) *Element {
 	if len(kv)%2 != 0 {
 		panic("netsim: NewElement attribute pairs must be even")
 	}
-	e := &Element{Tag: tag, Attrs: make(map[string]string, len(kv)/2)}
-	for i := 0; i < len(kv); i += 2 {
-		e.Attrs[kv[i]] = kv[i+1]
+	for i := 2; i < len(kv); i += 2 {
+		for j := 0; j < i; j += 2 {
+			if kv[i] == kv[j] {
+				panic("netsim: NewElement attribute " + kv[i] + " given twice")
+			}
+		}
 	}
-	return e
+	return &Element{Tag: tag, attrs: kv}
 }
 
 // Attr returns the named attribute ("" when absent).
 func (e *Element) Attr(name string) string {
-	if e == nil || e.Attrs == nil {
+	if e == nil {
 		return ""
 	}
-	return e.Attrs[name]
+	for i := 0; i < len(e.attrs); i += 2 {
+		if e.attrs[i] == name {
+			return e.attrs[i+1]
+		}
+	}
+	return ""
+}
+
+// SetAttr sets the named attribute, replacing its value when the element
+// already has it and appending it otherwise.
+func (e *Element) SetAttr(name, value string) {
+	for i := 0; i < len(e.attrs); i += 2 {
+		if e.attrs[i] == name {
+			e.attrs[i+1] = value
+			return
+		}
+	}
+	e.attrs = append(e.attrs, name, value)
 }
 
 // Append adds children and returns the element for chaining.

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"searchads/internal/adtech"
 	"searchads/internal/netsim"
 	"searchads/internal/urlx"
 )
@@ -91,5 +92,36 @@ func TestQwantBotGetsEmptyFrame(t *testing.T) {
 	}
 	if ads := FindAds(Qwant, resp.Page); len(ads) != 0 {
 		t.Fatalf("bot got %d ads in frame", len(ads))
+	}
+}
+
+// BenchmarkServeSERP times one engine serving one client a results page
+// and the ads frame it references: the organic block, four ads with
+// their click chains and beacons, and the engine's cookies. Qwant is the
+// engine that loads its ads through a frame and wraps them in its own
+// bounce endpoint.
+func BenchmarkServeSERP(b *testing.B) {
+	_, e := testWorld(b, Qwant)
+	e.Pool.Campaigns = append(e.Pool.Campaigns,
+		&adtech.Campaign{ID: "tv", Landing: urlx.MustParse("https://tv.example/deals"), Keywords: []string{"shoes"},
+			Stack: []string{"pixel.everesttech.net"}, AutoTag: true, CrossTagGCLID: true, OtherUIDParam: "irclickid"},
+		&adtech.Campaign{ID: "bike", Landing: urlx.MustParse("https://bike.example/"), Keywords: []string{"shoes"},
+			DirectFromEngine: true},
+	)
+	serpReq := netsim.Request{URL: urlx.MustParse(e.SearchURL("buy shoes")), Header: make(http.Header), Client: "qwant-0001"}
+	page := e.serve(&serpReq).Page
+	if len(page.Frames) != 1 {
+		b.Fatalf("frames = %v", page.Frames)
+	}
+	frameReq := serpReq
+	frameReq.URL = urlx.MustParse(page.Frames[0])
+	if ads := FindAds(Qwant, e.serve(&frameReq).Page); len(ads) != AdsPerSERP {
+		b.Fatalf("ads = %d, want %d", len(ads), AdsPerSERP)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s, f := serpReq, frameReq
+		e.serve(&s)
+		e.serve(&f)
 	}
 }

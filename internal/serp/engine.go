@@ -8,7 +8,6 @@ package serp
 
 import (
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -44,7 +43,8 @@ type Spec struct {
 	// inside an HTML element titled 'Sponsored Links'").
 	AdContainerTitle string
 	// BouncePath is the engine's own-domain click-bounce endpoint (""
-	// if the engine has none).
+	// if the engine has none). Ad hrefs carry it verbatim, so it must be
+	// a plain path that needs no escaping.
 	BouncePath string
 	// BounceHost overrides the bounce endpoint's host (api.qwant.com).
 	BounceHost string
@@ -320,6 +320,7 @@ var organicHrefs = func() [8]string {
 // never to trackers, §4.1.2).
 func organicsBlock() *netsim.Element {
 	organics := netsim.NewElement("div", "id", "organic")
+	organics.Children = make([]*netsim.Element, 0, len(organicHrefs))
 	for _, href := range organicHrefs {
 		organics.Append(netsim.NewElement("a", "href", href, "data-organic", "1"))
 	}
@@ -339,11 +340,11 @@ func (e *Engine) renderAds(query, client string) *netsim.Element {
 		return container
 	}
 	campaigns := e.Pool.Select(query, AdsPerSERP, e.seed)
+	container.Children = make([]*netsim.Element, 0, len(campaigns))
 	for pos, c := range campaigns {
 		click := e.Platform.BuildClick(c, client)
-		href := e.buildHref(click)
 		el := netsim.NewElement("a",
-			"href", href.String(),
+			"href", e.buildHref(click),
 			"data-landing", c.LandingDomain(),
 			"data-ad", "1",
 			"data-pos", strconv.Itoa(pos+1),
@@ -363,14 +364,14 @@ func (e *Engine) renderAds(query, client string) *netsim.Element {
 // DirectFromEngine campaigns skip the platform click server entirely
 // (the "qwant.com - destination" and "startpage.com - google.com -
 // destination" paths of Table 2).
-func (e *Engine) buildHref(click *adtech.AdClick) *url.URL {
-	var hops []string
-	hops = append(hops, e.Spec.UpstreamHops...)
+func (e *Engine) buildHref(click *adtech.AdClick) string {
+	var buf [8]string
+	hops := append(buf[:0], e.Spec.UpstreamHops...)
 	if !click.Campaign.DirectFromEngine {
 		hops = append(hops, e.Platform.ClickHost)
 	}
 	hops = append(hops, click.Campaign.Stack...)
-	target := adtech.BuildChain(hops, click.FinalLanding)
+	target := adtech.BuildChain(hops, click.Landing)
 	if !e.Spec.WrapOwnAds || e.Spec.BouncePath == "" {
 		return target
 	}
@@ -380,7 +381,5 @@ func (e *Engine) buildHref(click *adtech.AdClick) *url.URL {
 	}
 	// The engine's own bounce endpoint wraps the chain; its path comes
 	// from the Spec, so custom engines work without a hopPaths entry.
-	u := &url.URL{Scheme: "https", Host: host, Path: e.Spec.BouncePath}
-	u.RawQuery = urlx.EncodeQuery(adtech.NextParam, target.String())
-	return u
+	return "https://" + host + e.Spec.BouncePath + "?" + urlx.EncodeQuery(adtech.NextParam, target)
 }

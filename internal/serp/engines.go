@@ -2,6 +2,7 @@ package serp
 
 import (
 	"net/http"
+	"strconv"
 	"strings"
 
 	"searchads/internal/adtech"
@@ -131,8 +132,12 @@ func QwantSpec() Spec {
 // written in sorted key order to keep the output identical to the old
 // Values.Encode rendering.
 func beaconURL(host, path string, pairs ...string) string {
+	n := len("https://") + len(host) + len(path)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		n += 1 + urlx.QueryEscapeLen(pairs[i]) + 1 + urlx.QueryEscapeLen(pairs[i+1])
+	}
 	var b strings.Builder
-	b.Grow(len("https://") + len(host) + len(path) + 64)
+	b.Grow(n)
 	b.WriteString("https://")
 	b.WriteString(host)
 	b.WriteString(path)
@@ -153,7 +158,7 @@ func BingBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []netsim.
 	return []netsim.Beacon{{
 		Method: http.MethodPost,
 		URL: beaconURL(e.Spec.Host, "/fd/ls/GLinkPingPost.aspx",
-			"pos", itoa(pos), "q", query, "url", ad.FinalLanding.String()),
+			"pos", strconv.Itoa(pos), "q", query, "url", ad.Landing),
 		Type: netsim.TypePing,
 	}}
 }
@@ -164,7 +169,7 @@ func GoogleBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []netsi
 	return []netsim.Beacon{{
 		Method: http.MethodPost,
 		URL: beaconURL(e.Spec.Host, "/gen_204",
-			"label", "ad_click", "pos", itoa(pos)),
+			"label", "ad_click", "pos", strconv.Itoa(pos)),
 		Type: netsim.TypePing,
 	}}
 }
@@ -176,7 +181,7 @@ func DuckDuckGoBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []n
 	return []netsim.Beacon{{
 		Method: http.MethodGet,
 		URL: beaconURL("improving.duckduckgo.com", "/t/ad_click",
-			"ad_provider", "bing", "du", ad.FinalLanding.String(), "q", query),
+			"ad_provider", "bing", "du", ad.Landing, "q", query),
 		Type: netsim.TypePing,
 	}}
 }
@@ -187,7 +192,7 @@ func DuckDuckGoBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []n
 func StartPageBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []netsim.Beacon {
 	return []netsim.Beacon{{
 		Method: http.MethodGet,
-		URL:    beaconURL(e.Spec.Host, "/sp/cl", "pos", itoa(pos)),
+		URL:    beaconURL(e.Spec.Host, "/sp/cl", "pos", strconv.Itoa(pos)),
 		Type:   netsim.TypePing,
 	}}
 }
@@ -201,24 +206,10 @@ func QwantBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []netsim
 	return []netsim.Beacon{{
 		Method: http.MethodPost,
 		URL: beaconURL(e.Spec.Host, "/action/click_serp",
-			"device", "desktop", "locale", "en_US", "position", itoa(pos),
-			"q", query, "url", ad.FinalLanding.String()),
+			"device", "desktop", "locale", "en_US", "position", strconv.Itoa(pos),
+			"q", query, "url", ad.Landing),
 		Type: netsim.TypePing,
 	}}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // BeaconsFor returns the beacon builder for an engine name.

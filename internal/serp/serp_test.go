@@ -15,7 +15,7 @@ import (
 
 // testWorld wires one engine with a two-campaign pool, its platform's
 // click infrastructure, and a stub advertiser.
-func testWorld(t *testing.T, name string) (*netsim.Network, *Engine) {
+func testWorld(t testing.TB, name string) (*netsim.Network, *Engine) {
 	t.Helper()
 	seed := detrand.New(77)
 	net := netsim.NewNetwork()

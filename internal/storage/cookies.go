@@ -13,7 +13,9 @@
 package storage
 
 import (
+	"cmp"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -179,7 +181,10 @@ func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav 
 	requestSite := urlx.RegistrableDomain(host)
 	crossSite := firstParty != "" && requestSite != firstParty
 
-	var matched []*StoredCookie
+	// Most requests match a handful of cookies: collect them in a stack
+	// buffer, so only the returned cookies are allocated.
+	var buf [16]*StoredCookie
+	matched := buf[:0]
 	for k, sc := range j.cookies {
 		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
 			delete(j.cookies, k)
@@ -215,18 +220,7 @@ func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav 
 	if len(matched) == 0 {
 		return nil
 	}
-	// Stable order: longer paths first, then by creation, then name — the
-	// RFC 6265 serialisation order (made fully deterministic by the name
-	// tiebreak).
-	sort.Slice(matched, func(a, b int) bool {
-		if len(matched[a].Path) != len(matched[b].Path) {
-			return len(matched[a].Path) > len(matched[b].Path)
-		}
-		if !matched[a].Created.Equal(matched[b].Created) {
-			return matched[a].Created.Before(matched[b].Created)
-		}
-		return matched[a].Name < matched[b].Name
-	})
+	slices.SortFunc(matched, sendOrder)
 	// One backing array for the result cookies instead of one heap
 	// object per cookie: this runs for every request the browser sends.
 	backing := make([]netsim.Cookie, len(matched))
@@ -238,9 +232,29 @@ func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav 
 	return out
 }
 
-// All returns every stored, unexpired cookie, sorted deterministically.
-// The analysis pipeline consumes this dump ("The system records all
-// first-party and third-party cookies ... at each step", §3.1).
+// sendOrder is the order cookies are attached to a request: longer
+// paths first, then by creation, then name — the RFC 6265 serialisation
+// order — then Domain and PartitionKey, so the order is total and no
+// tie is left to map iteration. (Two matched cookies with paths of one
+// length have the same path: both are prefixes of the request path.)
+func sendOrder(a, b *StoredCookie) int {
+	if c := cmp.Compare(len(b.Path), len(a.Path)); c != 0 {
+		return c
+	}
+	if c := a.Created.Compare(b.Created); c != 0 {
+		return c
+	}
+	return cmp.Or(
+		strings.Compare(a.Name, b.Name),
+		strings.Compare(a.Domain, b.Domain),
+		strings.Compare(a.PartitionKey, b.PartitionKey),
+	)
+}
+
+// All returns every stored, unexpired cookie, sorted deterministically
+// by partition, domain, name and path — the jar's key, so the order is
+// total. The analysis pipeline consumes this dump ("The system records
+// all first-party and third-party cookies ... at each step", §3.1).
 func (j *Jar) All(now time.Time) []StoredCookie {
 	out := make([]StoredCookie, 0, len(j.cookies))
 	for _, sc := range j.cookies {
@@ -249,14 +263,13 @@ func (j *Jar) All(now time.Time) []StoredCookie {
 		}
 		out = append(out, *sc)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].PartitionKey != out[b].PartitionKey {
-			return out[a].PartitionKey < out[b].PartitionKey
-		}
-		if out[a].Domain != out[b].Domain {
-			return out[a].Domain < out[b].Domain
-		}
-		return out[a].Name < out[b].Name
+	slices.SortFunc(out, func(a, b StoredCookie) int {
+		return cmp.Or(
+			strings.Compare(a.PartitionKey, b.PartitionKey),
+			strings.Compare(a.Domain, b.Domain),
+			strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Path, b.Path),
+		)
 	})
 	return out
 }

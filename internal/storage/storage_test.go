@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -261,6 +262,44 @@ func TestCookieOrderingDeterministic(t *testing.T) {
 	}
 }
 
+// TestCookieOrderTotal: cookies that tie on every earlier sort key
+// still come out in one order, in every fresh jar. A partial order would
+// leave them in map-iteration order, which varies from jar to jar and
+// would flow into recorded cookies and dataset bytes.
+func TestCookieOrderTotal(t *testing.T) {
+	var wantAll, wantSent []string
+	for i := 0; i < 50; i++ {
+		j := NewJar(Flat)
+		// All: same partition, domain and name; only the path differs.
+		atA := netsim.NewCookie("id", "2")
+		atA.Path = "/a"
+		j.SetCookies(t0, urlx.MustParse("https://a.com/a"), "a.com", []*netsim.Cookie{netsim.NewCookie("id", "1"), atA})
+		// Cookies: same path, creation time and name; only the domain
+		// differs (host-only on www.b.com, domain cookie on b.com).
+		j.SetCookies(t0, urlx.MustParse("https://www.b.com/"), "b.com", []*netsim.Cookie{
+			netsim.NewCookie("sid", "host"), netsim.NewCookie("sid", "domain").WithDomain("b.com"),
+		})
+		var all []string
+		for _, c := range j.All(t0) {
+			all = append(all, c.Domain+c.Path+"="+c.Value)
+		}
+		var sent []string
+		for _, c := range j.Cookies(t0, urlx.MustParse("https://www.b.com/"), "b.com", false) {
+			sent = append(sent, c.Value)
+		}
+		if i == 0 {
+			wantAll, wantSent = all, sent
+			continue
+		}
+		if strings.Join(all, " ") != strings.Join(wantAll, " ") {
+			t.Fatalf("jar %d: All order %v, first jar gave %v", i, all, wantAll)
+		}
+		if strings.Join(sent, " ") != strings.Join(wantSent, " ") {
+			t.Fatalf("jar %d: Cookies order %v, first jar gave %v", i, sent, wantSent)
+		}
+	}
+}
+
 func TestLocalStorageModes(t *testing.T) {
 	flat := NewLocalStorage(Flat)
 	flat.Set("a.com", "https://tracker.com", "uid", "01")
@@ -293,5 +332,38 @@ func TestLocalStorageDumpAndClear(t *testing.T) {
 	ls.Clear()
 	if ls.Len() != 0 {
 		t.Fatal("clear failed")
+	}
+}
+
+// BenchmarkJarCookies times the per-request cookie lookup against a jar
+// holding the mix a crawl iteration builds up: first-party identifiers,
+// redirector UIDs and third-party tracker cookies across a dozen hosts.
+// The request matches three of them.
+func BenchmarkJarCookies(b *testing.B) {
+	j := NewJar(Flat)
+	for i, host := range []string{
+		"www.bing.com", "www.googleadservices.com", "ad.doubleclick.net",
+		"clickserve.dartsearch.net", "pixel.everesttech.net", "shop.example",
+		"www.facebook.com", "analytics.tiktok.com", "bat.bing.com",
+		"t.myvisualiq.net", "monitor.clickcease.com", "www.google.com",
+	} {
+		at := t0.Add(time.Duration(i) * time.Second)
+		uid := netsim.NewCookie("uid", "v"+host)
+		uid.SameSite = netsim.SameSiteNone
+		uid.Secure = true
+		j.SetCookies(at, urlx.MustParse("https://"+host+"/"), "bing.com", []*netsim.Cookie{
+			uid,
+			netsim.NewCookie("pref", "1").WithDomain(urlx.RegistrableDomain(host)),
+		})
+	}
+	j.SetCookies(t0, urlx.MustParse("https://shop.example/cart"), "shop.example", []*netsim.Cookie{
+		{Name: "cart", Value: "3", Path: "/cart"},
+	})
+	u := urlx.MustParse("https://shop.example/cart/checkout")
+	b.ReportAllocs()
+	for b.Loop() {
+		if got := j.Cookies(t0.Add(time.Minute), u, "shop.example", true); len(got) != 3 {
+			b.Fatalf("matched %d cookies", len(got))
+		}
 	}
 }

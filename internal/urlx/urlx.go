@@ -241,15 +241,68 @@ func WithParams(u *url.URL, params map[string]string) *url.URL {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	cp := u
+	kv := make([]string, 0, 2*len(keys))
 	for _, k := range keys {
-		cp = WithParam(cp, k, params[k])
+		kv = append(kv, k, params[k])
 	}
-	if cp == u { // empty params: still return a copy, as before
-		c := *u
-		cp = &c
+	cp := *u
+	cp.RawQuery = setParams(u, kv)
+	return &cp
+}
+
+// Decorate returns the string form of u with the query parameters kv
+// (key1, value1, key2, value2, ...) set in order: byte-identical to
+// folding WithParam over the pairs and calling String on the result,
+// without a URL copy per pair. It panics on an odd number of pairs.
+func Decorate(u *url.URL, kv ...string) string {
+	cp := *u
+	cp.RawQuery = setParams(u, kv)
+	return cp.String()
+}
+
+// setParams returns u's raw query with the pairs kv set in order, as
+// folding WithParam over them would. When no key is already present —
+// in u's query or earlier in kv — every pair takes WithParam's append
+// path, so the escaped pairs are appended in one pass; otherwise the
+// replace-if-present fold runs as written.
+func setParams(u *url.URL, kv []string) string {
+	if len(kv)%2 != 0 {
+		panic("urlx: parameter pairs must be even")
 	}
-	return cp
+	if len(kv) == 0 {
+		return u.RawQuery
+	}
+	n := len(u.RawQuery)
+	for i := 0; i < len(kv); i += 2 {
+		if _, present := Param(u, kv[i]); present || keyIn(kv[:i], kv[i]) {
+			cp := u
+			for j := 0; j < len(kv); j += 2 {
+				cp = WithParam(cp, kv[j], kv[j+1])
+			}
+			return cp.RawQuery
+		}
+		n += 1 + QueryEscapeLen(kv[i]) + 1 + QueryEscapeLen(kv[i+1])
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(u.RawQuery)
+	for i := 0; i < len(kv); i += 2 {
+		if b.Len() > 0 {
+			b.WriteByte('&')
+		}
+		AppendQuery(&b, kv[i], kv[i+1])
+	}
+	return b.String()
+}
+
+// keyIn reports whether key is one of the keys of the pairs kv.
+func keyIn(kv []string, key string) bool {
+	for i := 0; i < len(kv); i += 2 {
+		if kv[i] == key {
+			return true
+		}
+	}
+	return false
 }
 
 // Param returns the first value of the named query parameter and whether
@@ -315,21 +368,44 @@ func queryByteSafe(b byte) bool {
 	return false
 }
 
-// appendQueryEscape writes url.QueryEscape(s) into b without the
-// intermediate string.
-func appendQueryEscape(b *strings.Builder, s string) {
+// QueryEscapeLen returns len(url.QueryEscape(s)) without building it.
+func QueryEscapeLen[S ~string | ~[]byte](s S) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !queryByteSafe(c) && c != ' ' {
+			n += 2
+		}
+	}
+	return n
+}
+
+// AppendQueryEscape appends url.QueryEscape(s) to dst. s may be a byte
+// slice, so a nested redirect URL can escape the level below it
+// straight out of a reused buffer.
+func AppendQueryEscape[S ~string | ~[]byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case queryByteSafe(c):
-			b.WriteByte(c)
+			dst = append(dst, c)
 		case c == ' ':
-			b.WriteByte('+')
+			dst = append(dst, '+')
 		default:
-			b.WriteByte('%')
-			b.WriteByte(upperhex[c>>4])
-			b.WriteByte(upperhex[c&0xf])
+			dst = append(dst, '%', upperhex[c>>4], upperhex[c&0xf])
 		}
+	}
+	return dst
+}
+
+// appendQueryEscape writes url.QueryEscape(s) into b without the
+// intermediate string, escaping through a stack buffer a chunk at a
+// time.
+func appendQueryEscape(b *strings.Builder, s string) {
+	var buf [192]byte
+	for len(s) > 0 {
+		n := min(len(s), len(buf)/3)
+		b.Write(AppendQueryEscape(buf[:0], s[:n]))
+		s = s[n:]
 	}
 }
 
@@ -343,12 +419,12 @@ func AppendQuery(b *strings.Builder, key, value string) {
 }
 
 // EncodeQuery returns the single escaped "key=value" pair, grown once
-// for the worst-case escaping expansion. Redirect-chain construction
+// to its exact length. Redirect-chain construction
 // wraps a full URL as one query pair at every nesting level, so this is
 // the shared spelling for that hot path.
 func EncodeQuery(key, value string) string {
 	var b strings.Builder
-	b.Grow(len(key) + 1 + 3*len(value))
+	b.Grow(QueryEscapeLen(key) + 1 + QueryEscapeLen(value))
 	AppendQuery(&b, key, value)
 	return b.String()
 }
@@ -480,17 +556,6 @@ func isSchemeAlpha(b byte) bool {
 
 func isSchemeTail(b byte) bool {
 	return isSchemeAlpha(b) || b >= '0' && b <= '9' || b == '+' || b == '-' || b == '.'
-}
-
-// CopyURL deep-copies a URL (including User info, which the simulator never
-// uses but which keeps the helper general).
-func CopyURL(u *url.URL) *url.URL {
-	cp := *u
-	if u.User != nil {
-		user := *u.User
-		cp.User = &user
-	}
-	return &cp
 }
 
 // IsHTTP reports whether the URL uses an http(s) scheme.

@@ -126,16 +126,6 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("http://%zz")
 }
 
-func TestCopyURL(t *testing.T) {
-	u := MustParse("https://u:p@host.com/a?b=c")
-	cp := CopyURL(u)
-	cp.Host = "other.com"
-	cp.User = url.User("x")
-	if u.Host != "host.com" || u.User.String() != "u:p" {
-		t.Fatal("CopyURL did not isolate the copy")
-	}
-}
-
 func TestIsHTTP(t *testing.T) {
 	if !IsHTTP(MustParse("http://a.com")) || !IsHTTP(MustParse("https://a.com")) {
 		t.Fatal("http(s) not recognised")
@@ -247,6 +237,38 @@ func TestWithParamAppendSemantics(t *testing.T) {
 	u = WithParam(u, "gclid", "new")
 	if got, _ := Param(u, "gclid"); got != "new" {
 		t.Fatalf("replaced gclid = %q", got)
+	}
+}
+
+// TestDecorateMatchesWithParamFold pins Decorate to folding WithParam
+// over the pairs and calling String: the one-pass append when every key
+// is fresh, and the replace-if-present fold when a key is already in the
+// query or repeats within the pairs.
+func TestDecorateMatchesWithParamFold(t *testing.T) {
+	for _, c := range []struct {
+		raw string
+		kv  []string
+	}{
+		{"https://shop.example/land", nil},
+		{"https://shop.example/land", []string{"gclid", "Cj0K+QjW/x"}},
+		{"https://shop.example/land?a=1", []string{"gclid", "g", "irclickid", "a b&c=d"}},
+		{"https://shop.example/land#frag", []string{"msclkid", "m"}},
+		{"https://shop.example/ä?x=%25", []string{"k", "ü%"}},
+		{"https://shop.example/land?gclid=old&z=1", []string{"gclid", "new", "msclkid", "m"}}, // present: replace
+		{"https://shop.example/land?b=2", []string{"a", "1", "a", "2"}},                       // repeated within kv
+		{"https://shop.example/land?weird%20key=v", []string{"weird key", "w"}},               // present once unescaped
+	} {
+		u := MustParse(c.raw)
+		want := u
+		for i := 0; i < len(c.kv); i += 2 {
+			want = WithParam(want, c.kv[i], c.kv[i+1])
+		}
+		if got := Decorate(u, c.kv...); got != want.String() {
+			t.Errorf("Decorate(%q, %q) = %q, want %q", c.raw, c.kv, got, want.String())
+		}
+		if u.String() != MustParse(c.raw).String() {
+			t.Errorf("Decorate mutated %q", c.raw)
+		}
 	}
 }
 

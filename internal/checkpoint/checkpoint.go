@@ -63,6 +63,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"slices"
 
 	"searchads/internal/crawler"
 )
@@ -183,6 +184,9 @@ func (s *Snapshot) validate() error {
 			c := &s.Sweep.Cells[i]
 			if c.Done && len(c.Iterations) > 0 {
 				return fmt.Errorf("%w: cell %s seed=%d is done but still carries a prefix", ErrCheckpointCorrupt, c.Scenario, c.Seed)
+			}
+			if slices.Contains(c.Iterations, nil) {
+				return fmt.Errorf("%w: null iteration in cell %s seed=%d prefix", ErrCheckpointCorrupt, c.Scenario, c.Seed)
 			}
 		}
 	default:

@@ -88,7 +88,10 @@ func TestLoadCorruptForms(t *testing.T) {
 		"flipped bit":    flip(good, len(good)-3),
 		"flipped crc":    flip(good, 17),
 		"length lies":    lie(good),
-		"garbage json":   garbage(good),
+		"garbage json":   frame(good, []byte("}{ not json")),
+		// A sweep cell whose prefix holds a null iteration: valid JSON
+		// with a matching CRC, but nothing a resume can fast-forward.
+		"null cell iteration": frame(good, []byte(`{"kind":"sweep","config_hash":"x","sweep":{"cells":[{"scenario":"s","seed":1,"iterations":[null]}]}}`)),
 	}
 	for name, data := range cases {
 		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))
@@ -114,11 +117,10 @@ func lie(b []byte) []byte {
 	return out
 }
 
-// garbage keeps the header shape valid (length and CRC match) but the
-// payload is not JSON — the CRC passes, the parse must still fail
-// typed.
-func garbage(b []byte) []byte {
-	payload := []byte("}{ not json")
+// frame keeps the header shape of b valid (length and CRC match) around
+// another payload: the CRC passes, so the parse or the validation must
+// refuse it, typed.
+func frame(b, payload []byte) []byte {
 	out := bytes.Clone(b[:20])
 	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(out[16:20], crcOf(payload))

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"searchads/internal/atomicfile"
@@ -230,17 +231,40 @@ func (d *Dataset) Save(path string) error {
 	return nil
 }
 
-// Load reads a dataset written by Save.
+// Load reads a dataset written by Save. The result is the Dataset
+// json.Unmarshal decodes from the file, nil and empty slices and maps
+// included, with one exception: a null entry in "iterations", which no
+// consumer can read, is refused as a parse error. A file in the shape
+// Save writes is read in one pass with no reflection, and its strings
+// are interned per load: equal values share one allocation, and the
+// dataset keeps no reference to the file's bytes. Anything else —
+// unknown, case-folded or repeated keys, non-integer numbers, syntax
+// errors — is decoded by encoding/json.
 func Load(path string) (*Dataset, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("crawler: read dataset: %w", err)
 	}
-	var d Dataset
-	if err := json.Unmarshal(data, &d); err != nil {
+	d, err := parseDataset(data)
+	if err != nil {
 		return nil, fmt.Errorf("crawler: parse dataset: %w", err)
 	}
 	d.migrate()
+	return d, nil
+}
+
+// parseDataset is Load without the file read and the migration.
+func parseDataset(data []byte) (*Dataset, error) {
+	if d, ok := decodeDataset(data); ok {
+		return d, nil
+	}
+	var d Dataset
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, err
+	}
+	if i := slices.Index(d.Iterations, nil); i >= 0 {
+		return nil, fmt.Errorf("iteration %d is null", i)
+	}
 	return &d, nil
 }
 

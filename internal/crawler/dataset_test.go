@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,12 +13,10 @@ import (
 )
 
 // TestDatasetSaveLoadRoundTrip crawls a small real dataset and asserts
-// the Save → Load round trip — LoadDataset is exported through the
-// facade but the round trip was previously untested at this layer.
-// Equality is checked at the serialization level (re-saving the loaded
-// dataset must reproduce the file byte for byte; omitempty legitimately
-// turns empty slices into nil in memory) plus field-level spot checks
-// on the header and a full iteration.
+// the Save → Load round trip: Load must return exactly what
+// json.Unmarshal (plus the version migration) decodes from the saved
+// bytes, and re-saving the loaded dataset must reproduce the file byte
+// for byte.
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	w := websim.NewWorld(websim.Config{Seed: 55, Engines: []string{"bing", "startpage"}, QueriesPerEngine: 4})
 	ds, err := New(Config{World: w}).Run(context.Background())
@@ -35,23 +34,17 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Seed != ds.Seed || back.StorageMode != ds.StorageMode || !back.CreatedAt.Equal(ds.CreatedAt) {
-		t.Fatalf("header differs after round trip: %+v vs %+v", back, ds)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(back.Iterations) != len(ds.Iterations) {
-		t.Fatalf("iterations = %d, want %d", len(back.Iterations), len(ds.Iterations))
+	var want Dataset
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
 	}
-	for i := range ds.Iterations {
-		a, b := ds.Iterations[i], back.Iterations[i]
-		if b.Instance != a.Instance || b.Query != a.Query || b.FinalURL != a.FinalURL ||
-			b.ClickedAd != a.ClickedAd || len(b.SERPRequests) != len(a.SERPRequests) ||
-			len(b.Hops) != len(a.Hops) || len(b.DestRequests) != len(a.DestRequests) ||
-			len(b.Cookies) != len(a.Cookies) || len(b.RevisitCookies) != len(a.RevisitCookies) {
-			t.Fatalf("iteration %d differs after round trip:\n%+v\nvs\n%+v", i, b, a)
-		}
-		if !reflect.DeepEqual(b.DisplayedAds, a.DisplayedAds) {
-			t.Fatalf("iteration %d ads differ: %+v vs %+v", i, b.DisplayedAds, a.DisplayedAds)
-		}
+	want.migrate()
+	if !reflect.DeepEqual(back, &want) {
+		t.Fatal("Load differs from json.Unmarshal of the same bytes")
 	}
 
 	// A second save of the loaded dataset must be byte-identical — the
@@ -60,9 +53,8 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if err := back.Save(path2); err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := os.ReadFile(path)
 	b2, _ := os.ReadFile(path2)
-	if string(b1) != string(b2) {
+	if string(data) != string(b2) {
 		t.Fatal("re-saving a loaded dataset changed its bytes")
 	}
 
@@ -85,6 +77,15 @@ func TestLoadCorruptDataset(t *testing.T) {
 	}
 	if _, err := Load(corrupt); err == nil || !strings.Contains(err.Error(), "parse dataset") {
 		t.Fatalf("corrupt file error = %v, want a parse error", err)
+	}
+
+	// json.Unmarshal accepts a null iteration; Load must refuse it.
+	null := filepath.Join(dir, "null.json")
+	if err := os.WriteFile(null, []byte(`{"seed":1,"storage_mode":"flat","created_at":"2022-09-01T00:00:00Z","iterations":[null]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(null); err == nil || !strings.Contains(err.Error(), "parse dataset") {
+		t.Fatalf("null iteration error = %v, want a parse error", err)
 	}
 
 	// Truncate a real dataset mid-stream.

@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"net/url"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -275,24 +274,26 @@ func (j *Jar) All(now time.Time) []StoredCookie {
 }
 
 // Get returns the value of the first cookie with the given domain and
-// name in any partition, for tests and server-side assertions.
+// name in any partition, for tests and server-side assertions. "First"
+// is the jar's total order, the one All sorts by: partition, then path
+// (domain and name are fixed by the arguments).
 func (j *Jar) Get(domain, name string) (string, bool) {
-	var keys []cookieKey
-	for k := range j.cookies {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].partition != keys[b].partition {
-			return keys[a].partition < keys[b].partition
+	var best *StoredCookie
+	for k, sc := range j.cookies {
+		if k.domain != domain || k.name != name {
+			continue
 		}
-		return keys[a].domain < keys[b].domain
-	})
-	for _, k := range keys {
-		if k.domain == domain && k.name == name {
-			return j.cookies[k].Value, true
+		if best == nil || cmp.Or(
+			strings.Compare(sc.PartitionKey, best.PartitionKey),
+			strings.Compare(sc.Path, best.Path),
+		) < 0 {
+			best = sc
 		}
 	}
-	return "", false
+	if best == nil {
+		return "", false
+	}
+	return best.Value, true
 }
 
 // Len reports the number of stored cookies (including expired ones not

@@ -262,6 +262,22 @@ func TestCookieOrderingDeterministic(t *testing.T) {
 	}
 }
 
+// TestGetOrderTotal: with two cookies of one domain and name on
+// different paths, Get returns the same one from every fresh jar — the
+// first in All's order, so path "/" before "/x" — not whichever map
+// iteration reaches first.
+func TestGetOrderTotal(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		j := NewJar(Flat)
+		deep := netsim.NewCookie("k", "deep")
+		deep.Path = "/x"
+		j.SetCookies(t0, urlx.MustParse("https://a.com/x"), "a.com", []*netsim.Cookie{netsim.NewCookie("k", "root"), deep})
+		if v, ok := j.Get("a.com", "k"); !ok || v != "root" {
+			t.Fatalf("jar %d: Get = %q, %v; want root", i, v, ok)
+		}
+	}
+}
+
 // TestCookieOrderTotal: cookies that tie on every earlier sort key
 // still come out in one order, in every fresh jar. A partial order would
 // leave them in map-iteration order, which varies from jar to jar and

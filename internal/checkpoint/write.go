@@ -16,40 +16,44 @@ import (
 	"searchads/internal/telemetry"
 )
 
-// Prefix is an iteration prefix in encoded form. Writer.Append
-// JSON-encodes each iteration once, so a checkpoint write copies the
-// cached bytes instead of re-encoding every iteration crawled so far.
+// Prefix is an iteration prefix in encoded form: each iteration's
+// json.Marshal bytes, joined by commas. Writer.Append encodes each
+// iteration once, so a checkpoint write copies the cached bytes instead
+// of re-encoding every iteration crawled so far. The buffer grows by
+// doubling, so a prefix allocates about twice its final size in all.
 // The zero Prefix is empty and ready to use. A Prefix is not safe for
 // concurrent use, but the bytes Bytes returns may be read while an
 // Append to it runs.
 type Prefix struct {
-	buf    appendBuffer   // each iteration's JSON followed by ','
+	buf    []byte         // each iteration's JSON followed by ','
 	cursor map[string]int // engine → iterations appended
 }
 
-// appendBuffer is the io.Writer a json.Encoder appends into.
-type appendBuffer []byte
+// iterationRoom is the free space add makes before it encodes an
+// iteration: more than most iterations need, so the buffer regrows by
+// doubling, not by append's quarter steps.
+const iterationRoom = 16 << 10
 
-func (b *appendBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
-// add encodes its onto the end of the prefix.
+// add encodes its onto the end of the prefix, or on error leaves the
+// prefix as it was.
 func (p *Prefix) add(its ...*crawler.Iteration) error {
+	buf := p.buf
+	for _, it := range its {
+		if cap(buf)-len(buf) < iterationRoom {
+			buf = append(make([]byte, 0, 2*cap(buf)+iterationRoom), buf...)
+		}
+		var err error
+		if buf, err = crawler.AppendIteration(buf, it); err != nil {
+			return fmt.Errorf("checkpoint: encode iteration: %w", err)
+		}
+		buf = append(buf, ',')
+	}
+	p.buf = buf
 	if p.cursor == nil {
 		p.cursor = make(map[string]int)
 	}
-	enc := json.NewEncoder(&p.buf)
 	for _, it := range its {
-		if err := enc.Encode(it); err != nil {
-			return fmt.Errorf("checkpoint: encode iteration: %w", err)
-		}
-		// Encode ends each value with '\n'; the prefix joins them with ','.
-		p.buf[len(p.buf)-1] = ','
-		if it != nil {
-			p.cursor[it.Engine]++
-		}
+		p.cursor[it.Engine]++
 	}
 	return nil
 }
@@ -77,9 +81,14 @@ type Writer struct {
 	encoding atomic.Int64 // ns spent in Append since the last write
 }
 
-// Append encodes its onto p. With Telemetry set it times the encoding
-// and adds it to the next write's wall time: encoding is the part of a
-// checkpoint write that now happens as each iteration arrives.
+// Append encodes its onto p. Each iteration's bytes are those of
+// json.Marshal(it), written in one pass with no reflection by
+// crawler.AppendIteration, so a written checkpoint equals the header
+// framing json.Marshal of its snapshot. A nil iteration, which
+// json.Marshal would write as null and Load refuses, is an error, and
+// then p is left as it was. With Telemetry set, Append times the
+// encoding and adds it to the next write's wall time: encoding is the
+// part of a checkpoint write that happens as each iteration arrives.
 func (w *Writer) Append(p *Prefix, its ...*crawler.Iteration) error {
 	if w.Telemetry == nil {
 		return p.add(its...)

@@ -2,15 +2,19 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"searchads/internal/crawler"
+	"searchads/internal/netsim"
+	"searchads/internal/websim"
 )
 
 // marshalFrame is the reference file form: the header framing
@@ -181,4 +185,63 @@ func TestSaveByteIdenticalToMarshal(t *testing.T) {
 			t.Fatalf("%s: Save differs from json.Marshal's frame", name)
 		}
 	}
+}
+
+// TestAppendNilIteration: a nil iteration is an error and leaves the
+// prefix as it was, even when iterations before it in the same Append
+// were encoded.
+func TestAppendNilIteration(t *testing.T) {
+	its := escapingIterations()
+	var w Writer
+	var p Prefix
+	if err := w.Append(&p, its[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Bytes()
+	if err := w.Append(&p, its[1], nil, its[2]); err == nil {
+		t.Fatal("Append accepted a nil iteration")
+	}
+	if !bytes.Equal(p.Bytes(), before) {
+		t.Fatalf("failed Append changed the prefix to %q", p.Bytes())
+	}
+	if want := map[string]int{its[0].Engine: 1}; !maps.Equal(p.cursor, want) {
+		t.Fatalf("failed Append moved the cursor to %v", p.cursor)
+	}
+}
+
+// BenchmarkPrefixAppend times encoding a 180-iteration hostile crawl
+// onto a fresh Prefix one iteration at a time, as a checkpointed
+// hostile-batch run does.
+func BenchmarkPrefixAppend(b *testing.B) {
+	rates, err := netsim.ProfileRates("bot-hostile", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	adv, err := netsim.PostureConfig("strict")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cm, err := crawler.CountermeasureBundle("full")
+	if err != nil {
+		b.Fatal(err)
+	}
+	world := websim.NewWorld(websim.Config{Seed: 5, Engines: []string{"bing", "google", "duckduckgo"}, QueriesPerEngine: 60,
+		Faults: netsim.FaultPlan{Rates: rates, Adversary: adv}})
+	ds, err := crawler.New(crawler.Config{World: world, Countermeasures: cm}).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var w Writer
+	size := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		var p Prefix
+		for _, it := range ds.Iterations {
+			if err := w.Append(&p, it); err != nil {
+				b.Fatal(err)
+			}
+		}
+		size = len(p.Bytes())
+	}
+	b.SetBytes(int64(size))
 }

@@ -211,21 +211,22 @@ func (d *Dataset) Engines() []string {
 	return names
 }
 
-// Save writes the dataset as JSON indented one space per level (the
-// bytes of json.MarshalIndent(d, "", " ")), atomically: the bytes land
-// in a temporary file that is fsynced and renamed over the destination,
-// so a SIGINT or crash mid-save leaves either the previous dataset or
-// the new one — never a truncated hybrid. The file is mode 0644.
+// Save writes the dataset as JSON indented one space per level,
+// atomically: the bytes land in a temporary file that is fsynced and
+// renamed over the destination, so a SIGINT or crash mid-save leaves
+// either the previous dataset or the new one — never a truncated
+// hybrid. The file is mode 0644. The bytes are those of
+// json.MarshalIndent(d, "", " "), with one exception: a nil entry in
+// Iterations, which Load would refuse as null, is an error and nothing
+// is written. They are encoded in one pass with no reflection, and Save
+// fails exactly where json.MarshalIndent would: on a CreatedAt that
+// time.Time cannot write in RFC 3339, such as one in year 10000.
 func (d *Dataset) Save(path string) error {
-	d.stampVersion()
-	data, err := json.Marshal(d)
+	chunks, err := d.encode()
 	if err != nil {
-		return fmt.Errorf("crawler: marshal dataset: %w", err)
+		return fmt.Errorf("crawler: encode dataset: %w", err)
 	}
-	// json.MarshalIndent would rescan data through json.Indent's
-	// validating state machine; data is valid by construction.
-	data = indent(make([]byte, 0, len(data)+len(data)/2), data)
-	if err := atomicfile.WriteFile(path, data); err != nil {
+	if err := atomicfile.WriteFile(path, chunks...); err != nil {
 		return fmt.Errorf("crawler: write dataset: %w", err)
 	}
 	return nil

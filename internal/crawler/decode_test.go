@@ -52,28 +52,26 @@ func saveBytes(tb testing.TB, ds *Dataset) []byte {
 	return data
 }
 
-// savedShapes are saved datasets of every shape the golden report
-// corpus covers — baseline, partitioned with filter annotations,
-// bot-hostile with adversary and countermeasures — plus strings that
-// need escaping, an empty dataset, and the legacy version-1 and
-// version-2 files the migration tests load.
-func savedShapes(tb testing.TB) map[string][]byte {
+// datasetShapes are datasets of every shape the golden report corpus
+// covers — baseline, partitioned with filter annotations, bot-hostile
+// with adversary and countermeasures — plus one with every field set
+// and strings that need escaping, and an empty one.
+func datasetShapes(tb testing.TB) map[string]*Dataset {
 	tb.Helper()
-	crawl := func(cfg Config) []byte {
+	crawl := func(cfg Config) *Dataset {
 		ds, err := New(cfg).Run(context.Background())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return saveBytes(tb, ds)
+		return ds
 	}
 	engines := []string{"google", "bing", "duckduckgo"}
-	return map[string][]byte{
+	return map[string]*Dataset{
 		"baseline": crawl(Config{World: websim.NewWorld(websim.Config{Seed: 101, Engines: engines, QueriesPerEngine: 1})}),
 		"partitioned-filter": crawl(Config{World: websim.NewWorld(websim.Config{Seed: 202, Engines: engines, QueriesPerEngine: 1}),
 			StorageMode: storage.Partitioned, Filter: filterlist.DefaultEngine()}),
 		"hostile": crawl(hostileConfig(tb, 328, engines, 1)),
-		// Every field set, strings that need escaping.
-		"escaping": saveBytes(tb, &Dataset{Seed: -1, StorageMode: "flat", FilterAnnotated: true, Iterations: []*Iteration{{
+		"escaping": {Seed: -1, StorageMode: "flat", FilterAnnotated: true, Iterations: []*Iteration{{
 			Engine: "bing", Query: `<b>"fish" & chips</b> \ 日本 ` + "\u2028\u2029\x01\t\U0001F600", ClickedAd: -1,
 			SERPRequests: []RequestRecord{{URL: "https://x.example/?a=1&b=<2>", Referrer: "r", ThirdParty: true,
 				Cookies: map[string]string{"z": "}", "a": "{[", "": ""}}},
@@ -85,14 +83,26 @@ func savedShapes(tb testing.TB) map[string][]byte {
 			RevisitLocalStorage: []StorageRecord{{Origin: "o"}},
 			SERPTrackerCount:    1, ClickTrackerCount: 2, DestTrackerCount: 3,
 			Error: "e", ErrorClass: "dns", Outcome: "lost", Rotations: 4, CaptchaSolves: 5,
-		}}}),
-		"empty": saveBytes(tb, &Dataset{}),
+		}}},
+		"empty": {},
+	}
+}
+
+// savedShapes are the bytes Save writes for each of datasetShapes, plus
+// the legacy version-1 and version-2 files the migration tests load.
+func savedShapes(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	shapes := map[string][]byte{
 		"legacy-v1": []byte(`{"seed":7,"storage_mode":"flat","created_at":"2022-09-01T00:00:00Z","iterations":[{"engine":"bing",` +
 			`"engine_host":"www.bing.com","index":0,"instance":"bing-0000","query":"q0","clicked_ad":-1,"error":"no ads displayed"}]}`),
 		"legacy-v2": []byte(`{"version":2,"seed":7,"storage_mode":"flat","created_at":"2022-09-01T00:00:00Z",` +
 			`"iterations":[{"engine":"bing","engine_host":"www.bing.com","index":0,"instance":"bing-0000",` +
 			`"query":"q0","clicked_ad":-1,"error":"serp: injected tls fault for ads.bing.com","error_class":"botwall"}]}`),
 	}
+	for name, ds := range datasetShapes(tb) {
+		shapes[name] = saveBytes(tb, ds)
+	}
+	return shapes
 }
 
 // unmarshalDataset is the reference Load is held to: json.Unmarshal,
@@ -197,9 +207,12 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// BenchmarkLoad times loading a saved 180-iteration hostile dataset,
-// the shape and size the hostile-batch bench workload reloads each op.
-func BenchmarkLoad(b *testing.B) {
+// hostileDataset returns a saved 180-iteration hostile dataset, the
+// shape and size the hostile-batch bench workload saves and reloads
+// each op, and the path it is saved at. It sets b's bytes per op to the
+// file's size and reports allocations.
+func hostileDataset(b *testing.B) (*Dataset, string) {
+	b.Helper()
 	ds, err := New(hostileConfig(b, 5, []string{"bing", "google", "duckduckgo"}, 60)).Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
@@ -214,6 +227,12 @@ func BenchmarkLoad(b *testing.B) {
 	}
 	b.SetBytes(info.Size())
 	b.ReportAllocs()
+	return ds, path
+}
+
+// BenchmarkLoad times loading the hostile dataset.
+func BenchmarkLoad(b *testing.B) {
+	_, path := hostileDataset(b)
 	for b.Loop() {
 		if _, err := Load(path); err != nil {
 			b.Fatal(err)

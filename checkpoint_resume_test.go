@@ -3,6 +3,7 @@ package searchads_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -218,6 +219,35 @@ func TestResumeMismatchedCheckpoint(t *testing.T) {
 	flipped.Parallel = true
 	if _, err := searchads.NewStudy(flipped).Resume(context.Background()); err != nil {
 		t.Fatalf("parallelism change refused: %v", err)
+	}
+}
+
+// TestResumeFutureVersionCheckpoint: a checkpoint whose header claims
+// a format revision this release does not read is refused with
+// ErrCheckpointVersion, matchable through the facade.
+func TestResumeFutureVersionCheckpoint(t *testing.T) {
+	cfg := searchads.Config{
+		Seed:             6,
+		Engines:          []string{searchads.Bing},
+		QueriesPerEngine: 4,
+		Checkpoint:       filepath.Join(t.TempDir(), "run.ckpt"),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := searchads.NewStudy(killAt(cfg, 2, cancel)).Resume(ctx); !errors.Is(err, searchads.ErrCanceled) {
+		t.Fatalf("kill run: %v", err)
+	}
+	cancel()
+	data, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header bytes 4:8 hold the little-endian format version.
+	binary.LittleEndian.PutUint32(data[4:8], binary.LittleEndian.Uint32(data[4:8])+1)
+	if err := os.WriteFile(cfg.Checkpoint, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := searchads.NewStudy(cfg).Resume(context.Background()); !errors.Is(err, searchads.ErrCheckpointVersion) {
+		t.Fatalf("future-version checkpoint: got %v, want ErrCheckpointVersion", err)
 	}
 }
 

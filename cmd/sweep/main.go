@@ -63,20 +63,21 @@ import (
 
 	"searchads"
 	"searchads/internal/profiling"
+	"searchads/internal/sweep"
 )
 
 var (
-	preset       = flag.String("preset", "", "named scenario matrix (paper-baseline, adblock-user, cookieless-web, storage-ablation, stealth-ablation, chaos-robustness, arms-race)")
+	preset       = flag.String("preset", "", "named scenario matrix: "+strings.Join(sweep.PresetNames(), ", "))
 	matrix       = flag.String("matrix", "", "matrix grammar, e.g. 'storage=flat,partitioned;filter=on,off;engines=bing+google,all'")
 	seeds        = flag.Int("seeds", 0, "number of seeds to sweep (seeds seed-base..seed-base+N-1; 0 = the matrix's own seeds, default 1)")
 	seedBase     = flag.Int64("seed-base", 1, "first seed when -seeds is set")
 	queries      = flag.Int("queries", 50, "queries per engine per cell (yields to the matrix's queries= key unless given explicitly)")
 	parallel     = flag.Int("parallel", 0, "cells in flight at once (0 = GOMAXPROCS); also the peak dataset-retention bound")
 	shards       = flag.Int("analysis-shards", 0, "per-cell analysis shards (0/1 = sequential fold; cell reports are byte-identical either way)")
-	faults       = flag.String("faults", "", "fault-injection profile(s), comma-separated: off, flaky-edge, bot-hostile, brownout (overrides the matrix's faults= key)")
+	faults       = flag.String("faults", "", "fault-injection profile(s), comma-separated: "+strings.Join(searchads.FaultProfiles(), ", ")+" (overrides the matrix's faults= key)")
 	faultRate    = flag.String("fault-rate", "", "fault-injection rate(s) in [0, 1], comma-separated (overrides the matrix's fault-rate= key)")
-	adversary    = flag.String("adversary", "", "adversary posture(s), comma-separated: off, lenient, strict, paranoid (overrides the matrix's adversary= key)")
-	counters     = flag.String("countermeasures", "", "countermeasure bundle(s), comma-separated: off, pace, rotate, solve, full (overrides the matrix's cm= key)")
+	adversary    = flag.String("adversary", "", "adversary posture(s), comma-separated: "+strings.Join(searchads.AdversaryPostures(), ", ")+" (overrides the matrix's adversary= key)")
+	counters     = flag.String("countermeasures", "", "countermeasure bundle(s), comma-separated: "+strings.Join(searchads.CountermeasureBundles(), ", ")+" (overrides the matrix's cm= key)")
 	out          = flag.String("out", "", "write the JSON result to this file (default: stdout)")
 	ckpt         = flag.String("checkpoint", "", "crash-safe checkpoint file (SIGINT writes a final checkpoint before exiting)")
 	resume       = flag.Bool("resume", false, "continue from an existing -checkpoint file")

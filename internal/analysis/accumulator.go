@@ -146,9 +146,6 @@ func (a *Accumulator) AddAt(it *crawler.Iteration, seq int) {
 		// iterations are exactly the ones that never settle.
 		cls := it.ErrorClass
 		if cls == "" {
-			cls = string(crawler.ClassifyErrorString(it.Error))
-		}
-		if cls == "" {
 			cls = "other"
 		}
 		e.failures[cls]++
@@ -233,8 +230,8 @@ type engineAcc struct {
 	requests, thirdParty, clickBlocked int
 
 	// Failure attribution (chaos layer): iteration error-class counts,
-	// keyed by crawler.ErrorClass value ("other" for unclassifiable
-	// legacy strings). Summed under Merge like every other counter.
+	// keyed by crawler.ErrorClass value ("other" for a failure with
+	// no class). Summed under Merge like every other counter.
 	failures map[string]int
 	// Arms-race outcome counts (recovered/lost/abandoned), populated
 	// only from iterations whose crawl tracked outcomes.

@@ -2,9 +2,6 @@ package crawler
 
 import (
 	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"searchads/internal/adtech"
@@ -95,118 +92,5 @@ func TestAnalysisTolerantOfFailedIterations(t *testing.T) {
 	}()
 	if err := ds.Save(t.TempDir() + "/x.json"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDatasetVersionStamping: the schema revision is stamped only when
-// version-2 content exists, so clean datasets keep the v1 byte shape.
-func TestDatasetVersionStamping(t *testing.T) {
-	dir := t.TempDir()
-
-	clean := &Dataset{Iterations: []*Iteration{
-		{Engine: "bing", EngineHost: "www.bing.com", FinalURL: "https://shop.example/"},
-	}}
-	cleanPath := filepath.Join(dir, "clean.json")
-	if err := clean.Save(cleanPath); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(cleanPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Version != 0 {
-		t.Fatalf("clean dataset stamped Version=%d, want 0 (v1 shape)", clean.Version)
-	}
-	if strings.Contains(string(raw), `"version"`) {
-		t.Fatal("clean dataset serialized a version key; v1 byte shape broken")
-	}
-
-	dirty := &Dataset{Iterations: []*Iteration{
-		{Engine: "bing", EngineHost: "www.bing.com", Error: "boom", ErrorClass: string(ClassTimeout)},
-	}}
-	dirtyPath := filepath.Join(dir, "dirty.json")
-	if err := dirty.Save(dirtyPath); err != nil {
-		t.Fatal(err)
-	}
-	if dirty.Version != DatasetVersion {
-		t.Fatalf("dataset with typed classes stamped Version=%d, want %d", dirty.Version, DatasetVersion)
-	}
-	got, err := Load(dirtyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != DatasetVersion {
-		t.Fatalf("loaded Version=%d, want %d", got.Version, DatasetVersion)
-	}
-}
-
-// TestDatasetLegacyMigration: a version-1 file (typed classes absent)
-// gains derived ErrorClass values on Load, and a load/save round trip
-// of such a file is byte-stable.
-func TestDatasetLegacyMigration(t *testing.T) {
-	legacy := `{
- "seed": 7,
- "storage_mode": "flat",
- "created_at": "2023-10-01T00:00:00Z",
- "iterations": [
-  {
-   "engine": "bing",
-   "engine_host": "www.bing.com",
-   "index": 0,
-   "instance": "bing-0",
-   "query": "q",
-   "serp_requests": null,
-   "serp_cookies": null,
-   "displayed_ads": null,
-   "clicked_ad": -1,
-   "click_requests": null,
-   "hops": null,
-   "final_url": "",
-   "dest_requests": null,
-   "cookies": null,
-   "local_storage": null,
-   "crawler_request_count": 0,
-   "extension_request_count": 0,
-   "error": "click: resolve ad destination: netsim: no such host: unregistered-host.example"
-  },
-  {
-   "engine": "bing",
-   "engine_host": "www.bing.com",
-   "index": 1,
-   "instance": "bing-1",
-   "query": "q2",
-   "serp_requests": null,
-   "serp_cookies": null,
-   "displayed_ads": null,
-   "clicked_ad": -1,
-   "click_requests": null,
-   "hops": null,
-   "final_url": "",
-   "dest_requests": null,
-   "cookies": null,
-   "local_storage": null,
-   "crawler_request_count": 0,
-   "extension_request_count": 0,
-   "error": "browser: too many redirects (cap 20)"
-  }
- ]
-}`
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Version != 0 {
-		t.Fatalf("migration rewrote Version to %d; must leave legacy files unstamped", ds.Version)
-	}
-	wantClasses := []string{string(ClassDNS), string(ClassRedirectLoop)}
-	for i, it := range ds.Iterations {
-		if it.ErrorClass != wantClasses[i] {
-			t.Fatalf("iteration %d: migrated class = %q, want %q (error %q)",
-				i, it.ErrorClass, wantClasses[i], it.Error)
-		}
 	}
 }

@@ -10,6 +10,7 @@ package crawler
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -151,7 +152,7 @@ type Iteration struct {
 
 	// Error records a failed iteration ("" on success) — the free-form
 	// display string. ErrorClass is the typed form consumers branch on
-	// (see ErrorClass; derived from legacy strings on Load).
+	// (see ErrorClass).
 	Error      string `json:"error,omitempty"`
 	ErrorClass string `json:"error_class,omitempty"`
 
@@ -165,19 +166,23 @@ type Iteration struct {
 	CaptchaSolves int    `json:"captcha_solves,omitempty"`
 }
 
-// DatasetVersion is the current dataset schema revision. Version 2
-// added typed error classes and per-hop retry/fault records; version 3
-// added the arms-race outcome accounting (Outcome, Rotations,
-// CaptchaSolves).
+// DatasetVersion is the dataset schema revision this release reads and
+// writes. Version 2 added typed error classes and per-hop retry/fault
+// records; version 3 added the arms-race outcome accounting (Outcome,
+// Rotations, CaptchaSolves).
 const DatasetVersion = 3
+
+// ErrDatasetVersion is wrapped by Load for a file whose schema version
+// is not DatasetVersion: one saved by an earlier release (no version
+// key, 1 or 2) or by a newer one. Re-crawl to get a file this release
+// reads.
+var ErrDatasetVersion = errors.New("crawler: unsupported dataset schema version")
 
 // Dataset is a complete crawl output.
 type Dataset struct {
-	// Version is the schema revision the dataset was saved with. Save
-	// stamps it only when version-2 fields are actually present, so a
-	// dataset without failures keeps the version-1 byte shape and
-	// fault-free crawls stay byte-identical to earlier releases; Load
-	// upgrades older files in place (see migrate).
+	// Version is the schema revision the dataset was saved with: Save
+	// stamps DatasetVersion on every dataset, and Load refuses any
+	// other with ErrDatasetVersion.
 	Version     int       `json:"version,omitempty"`
 	Seed        int64     `json:"seed"`
 	StorageMode string    `json:"storage_mode"`
@@ -211,16 +216,17 @@ func (d *Dataset) Engines() []string {
 	return names
 }
 
-// Save writes the dataset as JSON indented one space per level,
-// atomically: the bytes land in a temporary file that is fsynced and
-// renamed over the destination, so a SIGINT or crash mid-save leaves
-// either the previous dataset or the new one — never a truncated
-// hybrid. The file is mode 0644. The bytes are those of
-// json.MarshalIndent(d, "", " "), with one exception: a nil entry in
-// Iterations, which Load would refuse as null, is an error and nothing
-// is written. They are encoded in one pass with no reflection, and Save
-// fails exactly where json.MarshalIndent would: on a CreatedAt that
-// time.Time cannot write in RFC 3339, such as one in year 10000.
+// Save stamps d.Version with DatasetVersion and writes the dataset as
+// JSON indented one space per level, atomically: the bytes land in a
+// temporary file that is fsynced and renamed over the destination, so a
+// SIGINT or crash mid-save leaves either the previous dataset or the
+// new one — never a truncated hybrid. The file is mode 0644. The bytes
+// are those of json.MarshalIndent(d, "", " "), with one exception: a
+// nil entry in Iterations, which Load would refuse as null, is an error
+// and nothing is written. They are encoded in one pass with no
+// reflection, and Save fails exactly where json.MarshalIndent would: on
+// a CreatedAt that time.Time cannot write in RFC 3339, such as one in
+// year 10000.
 func (d *Dataset) Save(path string) error {
 	chunks, err := d.encode()
 	if err != nil {
@@ -240,7 +246,8 @@ func (d *Dataset) Save(path string) error {
 // are interned per load: equal values share one allocation, and the
 // dataset keeps no reference to the file's bytes. Anything else —
 // unknown, case-folded or repeated keys, non-integer numbers, syntax
-// errors — is decoded by encoding/json.
+// errors — is decoded by encoding/json. A file whose version is not
+// DatasetVersion is refused with an error wrapping ErrDatasetVersion.
 func Load(path string) (*Dataset, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -250,11 +257,13 @@ func Load(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crawler: parse dataset: %w", err)
 	}
-	d.migrate()
+	if d.Version != DatasetVersion {
+		return nil, fmt.Errorf("%w: version %d (this release reads %d)", ErrDatasetVersion, d.Version, DatasetVersion)
+	}
 	return d, nil
 }
 
-// parseDataset is Load without the file read and the migration.
+// parseDataset is Load without the file read and the version check.
 func parseDataset(data []byte) (*Dataset, error) {
 	if d, ok := decodeDataset(data); ok {
 		return d, nil
@@ -267,43 +276,4 @@ func parseDataset(data []byte) (*Dataset, error) {
 		return nil, fmt.Errorf("iteration %d is null", i)
 	}
 	return &d, nil
-}
-
-// stampVersion marks the dataset with the current schema revision when
-// any iteration carries versioned fields. Datasets without them keep
-// the version-1 shape (no version key), which is what preserves
-// byte-identity for fault-free crawls; likewise a chaos dataset with no
-// arms-race fields would stamp the current version only because of its
-// error classes — the stamp tracks content, not release.
-func (d *Dataset) stampVersion() {
-	if d.Version != 0 {
-		return
-	}
-	for _, it := range d.Iterations {
-		if it.ErrorClass != "" || it.Outcome != "" || it.Rotations != 0 || it.CaptchaSolves != 0 {
-			d.Version = DatasetVersion
-			return
-		}
-		for _, h := range it.Hops {
-			if h.Retries != 0 || h.FaultClass != "" {
-				d.Version = DatasetVersion
-				return
-			}
-		}
-	}
-}
-
-// migrate upgrades datasets saved before version 2 in place: typed
-// error classes are derived from the legacy display strings. The
-// Version field itself is left untouched so a load/save round trip of
-// an unaffected file stays byte-stable.
-func (d *Dataset) migrate() {
-	if d.Version >= DatasetVersion {
-		return
-	}
-	for _, it := range d.Iterations {
-		if it.Error != "" && it.ErrorClass == "" {
-			it.ErrorClass = string(ClassifyErrorString(it.Error))
-		}
-	}
 }

@@ -1,8 +1,10 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,8 +16,7 @@ import (
 
 // TestDatasetSaveLoadRoundTrip crawls a small real dataset and asserts
 // the Save → Load round trip: Load must return exactly what
-// json.Unmarshal (plus the version migration) decodes from the saved
-// bytes, and re-saving the loaded dataset must reproduce the file byte
+// json.Unmarshal decodes from the saved bytes, and re-saving the loaded dataset must reproduce the file byte
 // for byte.
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	w := websim.NewWorld(websim.Config{Seed: 55, Engines: []string{"bing", "startpage"}, QueriesPerEngine: 4})
@@ -42,7 +43,6 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	want.migrate()
 	if !reflect.DeepEqual(back, &want) {
 		t.Fatal("Load differs from json.Unmarshal of the same bytes")
 	}
@@ -112,5 +112,90 @@ func TestLoadCorruptDataset(t *testing.T) {
 
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil || !strings.Contains(err.Error(), "read dataset") {
 		t.Fatalf("missing file error = %v, want a read error", err)
+	}
+}
+
+// TestDatasetSaveAtomic is the truncation-crash regression test for the
+// atomic dataset writer: overwriting an existing dataset must never
+// expose a truncated hybrid (the pre-atomic os.WriteFile did exactly
+// that when killed mid-write), and failed saves must leave both the
+// destination and the directory untouched.
+func TestDatasetSaveAtomic(t *testing.T) {
+	w := websim.NewWorld(websim.Config{Seed: 58, Engines: []string{"qwant"}, QueriesPerEngine: 3})
+	ds, err := New(Config{World: w, SkipRevisit: true}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ds.json")
+	for i := 0; i < 10; i++ {
+		if err := ds.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err != nil {
+			t.Fatalf("after save %d the destination does not parse: %v", i, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("temp litter after saves: %d entries", len(entries))
+	}
+
+	// A save that cannot complete (directory missing) must fail without
+	// touching the destination it was aimed at.
+	bad := filepath.Join(dir, "no-such-dir", "ds.json")
+	if err := ds.Save(bad); err == nil {
+		t.Fatal("save into a missing directory succeeded")
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatal("failed save left a file behind")
+	}
+}
+
+// TestDatasetVersionStamping: Save stamps DatasetVersion on every
+// dataset, a clean crawl with no versioned field set included, and Load
+// reads that version back; a file with no version key, or any other
+// version, is refused with ErrDatasetVersion.
+func TestDatasetVersionStamping(t *testing.T) {
+	w := websim.NewWorld(websim.Config{Seed: 57, Engines: []string{"bing", "google"}, QueriesPerEngine: 2})
+	clean, err := New(Config{World: w}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range clean.Iterations {
+		if it.ErrorClass != "" || it.Outcome != "" {
+			t.Fatalf("clean crawl iteration %d carries class %q, outcome %q", it.Index, it.ErrorClass, it.Outcome)
+		}
+	}
+	type row struct {
+		data    []byte
+		refused bool
+	}
+	rows := map[string]row{"clean crawl": {data: saveBytes(t, clean)}}
+	for name, data := range refusedVersions() {
+		rows[name] = row{data, true}
+	}
+	dir := t.TempDir()
+	for name, row := range rows {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, row.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := Load(path)
+		if row.refused {
+			if !errors.Is(err, ErrDatasetVersion) {
+				t.Errorf("%s: Load error = %v, want ErrDatasetVersion", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.HasPrefix(row.data, []byte("{\n \"version\": 3,\n")) || ds.Version != DatasetVersion {
+			t.Errorf("%s: saved and loaded without version %d", name, DatasetVersion)
+		}
 	}
 }

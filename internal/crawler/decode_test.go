@@ -88,21 +88,29 @@ func datasetShapes(tb testing.TB) map[string]*Dataset {
 	}
 }
 
-// savedShapes are the bytes Save writes for each of datasetShapes, plus
-// the legacy version-1 and version-2 files the migration tests load.
+// savedShapes are the bytes Save writes for each of datasetShapes.
 func savedShapes(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	shapes := map[string][]byte{
-		"legacy-v1": []byte(`{"seed":7,"storage_mode":"flat","created_at":"2022-09-01T00:00:00Z","iterations":[{"engine":"bing",` +
-			`"engine_host":"www.bing.com","index":0,"instance":"bing-0000","query":"q0","clicked_ad":-1,"error":"no ads displayed"}]}`),
-		"legacy-v2": []byte(`{"version":2,"seed":7,"storage_mode":"flat","created_at":"2022-09-01T00:00:00Z",` +
-			`"iterations":[{"engine":"bing","engine_host":"www.bing.com","index":0,"instance":"bing-0000",` +
-			`"query":"q0","clicked_ad":-1,"error":"serp: injected tls fault for ads.bing.com","error_class":"botwall"}]}`),
-	}
+	shapes := map[string][]byte{}
 	for name, ds := range datasetShapes(tb) {
 		shapes[name] = saveBytes(tb, ds)
 	}
 	return shapes
+}
+
+// refusedVersions are hand-written dataset files whose schema version
+// Load refuses: saved by earlier releases (no version key, 1, 2) or by
+// a newer one.
+func refusedVersions() map[string][]byte {
+	const rest = `"seed":7,"storage_mode":"flat","created_at":"2022-09-01T00:00:00Z","iterations":[{"engine":"bing",` +
+		`"engine_host":"www.bing.com","index":0,"instance":"bing-0000","query":"q0","clicked_ad":-1,` +
+		`"error":"serp: injected tls fault for ads.bing.com","error_class":"tls"}]}`
+	return map[string][]byte{
+		"no version": []byte(`{` + rest),
+		"version 1":  []byte(`{"version":1,` + rest),
+		"version 2":  []byte(`{"version":2,` + rest),
+		"version 4":  []byte(`{"version":4,` + rest),
+	}
 }
 
 // unmarshalDataset is the reference Load is held to: json.Unmarshal,
@@ -143,6 +151,9 @@ func TestLoadFastPath(t *testing.T) {
 // iteration is an error on both sides.
 func FuzzLoad(f *testing.F) {
 	for _, data := range savedShapes(f) {
+		f.Add(data)
+	}
+	for _, data := range refusedVersions() {
 		f.Add(data)
 	}
 	for _, seed := range []string{

@@ -30,9 +30,9 @@ const (
 )
 
 // encode returns the bytes of json.MarshalIndent(d, "", " ") in chunks,
-// stamping d's version first. It fails, leaving d unchanged, on a nil
-// iteration, and where encoding/json fails: on a created_at that
-// time.Time cannot encode.
+// stamping d with DatasetVersion first. It fails, leaving d unchanged,
+// on a nil iteration, and where encoding/json fails: on a created_at
+// that time.Time cannot encode.
 func (d *Dataset) encode() ([][]byte, error) {
 	if i := slices.Index(d.Iterations, nil); i >= 0 {
 		return nil, fmt.Errorf("iteration %d is nil", i)
@@ -41,7 +41,7 @@ func (d *Dataset) encode() ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.stampVersion()
+	d.Version = DatasetVersion
 	e := encoder{buf: make([]byte, 0, saveChunk), indent: true}
 	e.open('{')
 	e.omitInt(`"version":`, d.Version)

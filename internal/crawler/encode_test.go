@@ -14,10 +14,10 @@ import (
 
 // TestSaveByteIdenticalToMarshalIndent pins Save's bytes to the
 // json.MarshalIndent(d, "", " ") form earlier releases wrote, on every
-// dataset shape: clean, filter-annotated and hostile crawls (the last
-// stamped with the current version), every field set with strings that
-// need escaping, an empty dataset, and one that fills several of the
-// chunks Save writes.
+// dataset shape: clean, filter-annotated and hostile crawls, every field
+// set with strings that need escaping, an empty dataset, and one that
+// fills several of the chunks Save writes. Save stamps each with the
+// current version.
 func TestSaveByteIdenticalToMarshalIndent(t *testing.T) {
 	shapes := datasetShapes(t)
 	many := &Dataset{Seed: 1, StorageMode: "flat"}
@@ -41,9 +41,9 @@ func TestSaveByteIdenticalToMarshalIndent(t *testing.T) {
 			}
 			t.Fatalf("%s: Save differs from json.MarshalIndent at byte %d of %d", name, i, len(want))
 		}
-	}
-	if v := shapes["hostile"].Version; v != DatasetVersion {
-		t.Fatalf("hostile dataset stamped version %d, want %d", v, DatasetVersion)
+		if ds.Version != DatasetVersion {
+			t.Fatalf("%s: dataset stamped version %d, want %d", name, ds.Version, DatasetVersion)
+		}
 	}
 	if !shapes["partitioned-filter"].FilterAnnotated {
 		t.Fatal("filter dataset is not annotated")
@@ -98,6 +98,9 @@ func plant(d *Dataset, raw string) {
 func FuzzSave(f *testing.F) {
 	saved := savedShapes(f)
 	for _, data := range saved {
+		f.Add(data, "", int64(0), int64(0), 0)
+	}
+	for _, data := range refusedVersions() {
 		f.Add(data, "", int64(0), int64(0), 0)
 	}
 	for _, seed := range []struct {

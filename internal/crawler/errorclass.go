@@ -2,7 +2,6 @@ package crawler
 
 import (
 	"errors"
-	"strings"
 
 	"searchads/internal/browser"
 	"searchads/internal/netsim"
@@ -65,39 +64,6 @@ func ClassifyError(err error) ErrorClass {
 	}
 	if errors.Is(err, browser.ErrTooManyRedirects) {
 		return ClassRedirectLoop
-	}
-	return ""
-}
-
-// ClassifyErrorString recovers a class from a legacy display string —
-// the Load-path migration for datasets saved before the typed taxonomy
-// existed ("" when the string matches nothing known).
-func ClassifyErrorString(s string) ErrorClass {
-	switch {
-	case s == "":
-		return ""
-	case strings.Contains(s, "no ads displayed"):
-		return ClassNoAds
-	case strings.Contains(s, "no such host"), strings.Contains(s, "injected dns fault"):
-		return ClassDNS
-	case strings.Contains(s, "too many redirects"):
-		return ClassRedirectLoop
-	case strings.Contains(s, "injected tls fault"):
-		return ClassTLS
-	case strings.Contains(s, "injected timeout fault"):
-		return ClassTimeout
-	case strings.Contains(s, "botwall fault"):
-		return ClassBotwall
-	case strings.Contains(s, "captcha fault"):
-		return ClassCaptcha
-	case strings.Contains(s, "breaker open"):
-		return ClassBreakerOpen
-	case strings.Contains(s, "http_403 fault"):
-		return ClassHTTP403
-	case strings.Contains(s, "http_429 fault"):
-		return ClassHTTP429
-	case strings.Contains(s, "http_5xx fault"):
-		return ClassHTTP5xx
 	}
 	return ""
 }

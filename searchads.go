@@ -34,7 +34,7 @@
 // probability). Identical Configs produce byte-identical datasets and
 // iteration streams, sequential or Parallel alike.
 //
-// # Sharded analysis (v2.1 migration note)
+// # Sharded analysis
 //
 // The analysis fold shards across cores. Nothing changes for existing
 // callers — reports stay byte-identical — but three new levers exist:
@@ -103,6 +103,11 @@ var (
 	// from one options value; zero-value options share the embedded
 	// defaults.
 	ErrOptionsMismatch = analysis.ErrOptionsMismatch
+
+	// ErrDatasetVersion reports a LoadDataset file whose schema version
+	// is not the one this release writes: a file saved by an earlier
+	// release, or by a newer one. Re-crawl it.
+	ErrDatasetVersion = crawler.ErrDatasetVersion
 )
 
 // wrapCanceled tags context-abort errors with ErrCanceled so callers
@@ -666,7 +671,9 @@ func AnalyzeDatasetSharded(ctx context.Context, ds *Dataset, shards int) (*Repor
 	return rep, wrapCanceled(err)
 }
 
-// LoadDataset reads a dataset saved with Dataset.Save.
+// LoadDataset reads a dataset saved with Dataset.Save. A file with
+// another schema version is refused with an error wrapping
+// ErrDatasetVersion.
 func LoadDataset(path string) (*Dataset, error) { return crawler.Load(path) }
 
 // DefaultFilterEngine compiles the embedded EasyList/EasyPrivacy-style

@@ -1,7 +1,10 @@
 package searchads_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,6 +69,46 @@ func TestDatasetRoundTripThroughFacade(t *testing.T) {
 	r2 := searchads.AnalyzeDataset(back)
 	if r1.After["bing"].MSCLKID != r2.After["bing"].MSCLKID {
 		t.Fatal("analysis differs after round trip")
+	}
+}
+
+// TestLoadDatasetRefusesOtherVersions: a saved dataset carries schema
+// version 3 and loads; the same file with the version key removed, or
+// set to 1, 2 or 4, is refused with ErrDatasetVersion.
+func TestLoadDatasetRefusesOtherVersions(t *testing.T) {
+	ds, err := searchads.NewStudy(searchads.Config{
+		Seed:             316,
+		Engines:          []string{searchads.Bing},
+		QueriesPerEngine: 2,
+	}).Crawl(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := saveBytes(t, ds)
+	stamp := []byte("\n \"version\": 3,")
+	if !bytes.Contains(saved, stamp) {
+		t.Fatal("saved dataset carries no version 3 stamp")
+	}
+	dir := t.TempDir()
+	for name, repl := range map[string]string{
+		"version 3":  string(stamp),
+		"no version": "",
+		"version 1":  "\n \"version\": 1,",
+		"version 2":  "\n \"version\": 2,",
+		"version 4":  "\n \"version\": 4,",
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, bytes.Replace(saved, stamp, []byte(repl), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := searchads.LoadDataset(path)
+		if name == "version 3" {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		} else if !errors.Is(err, searchads.ErrDatasetVersion) {
+			t.Errorf("%s: LoadDataset error = %v, want ErrDatasetVersion", name, err)
+		}
 	}
 }
 

@@ -423,17 +423,6 @@ func BenchmarkSec32_TokenFunnel(b *testing.B) {
 		r.Funnel.TotalTokens, r.Funnel.UserIDs, r.Funnel.ByReason)
 }
 
-// BenchmarkCrawl_EndToEnd measures the full pipeline: world build +
-// 5-engine crawl + analysis, per iteration count.
-func BenchmarkCrawl_EndToEnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		study := searchads.NewStudy(searchads.Config{Seed: int64(i + 1), QueriesPerEngine: 10})
-		if _, err := study.Analyze(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblation_PartitionedVsFlat compares the two storage models'
 // navigational-tracking outcomes (DESIGN.md §4.2): the numbers must
 // match, demonstrating that partitioning does not stop bounce tracking.
@@ -810,40 +799,6 @@ func BenchmarkAccumulatorMerge(b *testing.B) {
 				}
 				if r.Funnel.TotalTokens == 0 {
 					b.Fatal("empty funnel")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWorldBuild measures world construction alone (all engines,
-// pools, trackers, redirectors).
-func BenchmarkWorldBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := websim.NewWorld(websim.Config{Seed: int64(i + 1), QueriesPerEngine: 100})
-		if w.Sites.Sites() == 0 {
-			b.Fatal("empty world")
-		}
-	}
-}
-
-// BenchmarkParallelCrawl contrasts sequential and parallel crawling of
-// all five engines.
-func BenchmarkParallelCrawl(b *testing.B) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := websim.NewWorld(websim.Config{Seed: 9, QueriesPerEngine: 10})
-				ds, err := crawler.New(crawler.Config{World: w, Parallel: parallel}).Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ds.Iterations) != 50 {
-					b.Fatalf("iterations = %d", len(ds.Iterations))
 				}
 			}
 		})

@@ -360,16 +360,18 @@ func (c *Crawler) observeOutcome(it *Iteration) {
 // stream (e.g. analysis.Accumulator) observes a full sequential crawl
 // in O(one iteration) of memory — the mode to use when the memory
 // bound matters (the sweep engine crawls its cells sequentially for
-// exactly this reason). A Parallel crawl trades memory for speed: a
-// consumer slower than the crawl stalls the workers (the completion
-// channel is bounded — see streamParallel), but because emission is
-// engine-major while engines crawl concurrently, the reorder buffer
-// holds the faster engines' completed iterations until the emission
-// cursor reaches them — up to everything but the first engine's
-// remainder in the worst case, the same order of memory a Run dataset
-// holds anyway. Identifier minting is keyed by (engine, iteration)
-// labels, so the emitted iterations are byte-identical to the ones a
-// Run dataset holds, sequential or Parallel alike.
+// exactly this reason). Under Parallel the stream is RunChains plus a
+// reorder buffer: a consumer slower than the crawl stalls the workers
+// (the completion channel is bounded), but because emission is
+// engine-major while engines crawl concurrently, the buffer holds the
+// later engines' completed iterations until the emission cursor
+// reaches them — up to everything but the first engine's remainder in
+// the worst case, the same order of memory a Run dataset holds anyway.
+// A consumer that needs no global order (a sharded fold, for one)
+// calls RunChains directly and buffers nothing. Identifier minting is
+// keyed by (engine, iteration) labels, so the emitted iterations are
+// byte-identical to the ones a Run dataset holds, sequential or
+// Parallel alike.
 func (c *Crawler) Iterations(ctx context.Context) iter.Seq2[*Iteration, error] {
 	return func(yield func(*Iteration, error) bool) {
 		p, err := c.plan()
@@ -401,34 +403,116 @@ func (c *Crawler) streamSequential(ctx context.Context, p *crawlPlan, yield func
 	}
 }
 
-// streamParallel runs the iteration-aware worker pool and emits in
-// dataset order: one task per (engine, iteration), with engine e's
-// iteration i+1 enqueued only when iteration i completes (the channel
-// send/receive pair gives the i→i+1 happens-before the per-engine
-// visited map needs). At most one task per engine is ever outstanding,
-// so the task channel never blocks and min(GOMAXPROCS, engines) workers
-// saturate the available overlap.
+// Engines returns the engines the crawl covers, in Config order: the
+// chain indexes RunChains reports are positions in this slice.
+func (c *Crawler) Engines() []string { return c.cfg.Engines }
+
+// RunChains crawls every engine chain on the worker pool — whatever
+// Config.Parallel says — and hands each iteration to visit on the
+// worker that crawled it, right after the crawl and before that chain's
+// next iteration is scheduled. chain is the engine's position in
+// Engines; seq is the iteration's position in the dataset order
+// Iterations emits (counted from the resume point under Config.Resume).
 //
-// The completion channel is bounded at one slot per engine, which is
-// the backpressure: a consumer slower than the crawl stalls the workers
-// rather than letting finished iterations pile up. The reorder buffer
-// (pending) is a different story: emission is engine-major while the
-// engines crawl concurrently, so later engines' completions accumulate
-// there until the cursor clears the engines before them — bounded only
-// by the dataset's tail, not by the worker count. Bounding it would
-// mean stalling every engine ahead of the cursor, i.e. serialising the
-// crawl; callers that need a hard memory bound use a sequential crawl
-// instead (see Iterations). A wavefront emission order that bounds the
-// buffer while keeping the overlap is noted in the ROADMAP.
+// Within a chain, visit sees iterations in index order, each call
+// finishing before the next one starts (a happens-before edge), so
+// per-chain state needs no lock; different chains' calls run
+// concurrently. Nothing is buffered: an iteration lives as long as
+// visit holds it.
+//
+// RunChains returns nil once every chain has finished, the config error
+// if the plan is invalid (wrapping ErrUnknownEngine for an unknown
+// engine), or ctx.Err() if the context was canceled first; it returns
+// only after every worker has exited.
+func (c *Crawler) RunChains(ctx context.Context, visit func(chain, seq int, it *Iteration)) error {
+	p, err := c.plan()
+	if err != nil {
+		return err
+	}
+	if !c.startChains(ctx, p, visit)() {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// streamParallel emits the pool's output (startChains) in dataset
+// order. The completion channel, one slot per engine, is the
+// backpressure: a consumer slower than the crawl stalls the workers.
+// The reorder buffer (pending) is bounded only by the dataset's tail
+// (see Iterations); bounding it would mean stalling every engine ahead
+// of the emission cursor, i.e. serialising the crawl.
 //
 // On cancellation (or an early consumer break) workers stop picking up
 // tasks, finish at most the iteration each is on, and the pool is
 // drained before the function returns — prompt, leak-free teardown.
 func (c *Crawler) streamParallel(ctx context.Context, p *crawlPlan, yield func(*Iteration, error) bool) {
 	type done struct {
-		global int
-		it     *Iteration
+		seq int
+		it  *Iteration
 	}
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	completed := make(chan done, len(p.counts))
+	wait := c.startChains(pctx, p, func(_, seq int, it *Iteration) {
+		select {
+		case completed <- done{seq, it}:
+		case <-pctx.Done():
+		}
+	})
+	stop := func() {
+		cancel()
+		wait()
+	}
+
+	// Emit in dataset order on the consumer's goroutine, reordering
+	// out-of-order completions.
+	pending := make(map[int]*Iteration)
+	next := 0
+	for next < p.total {
+		select {
+		case <-ctx.Done():
+			stop()
+			yield(nil, ctx.Err())
+			return
+		case d := <-completed:
+			pending[d.seq] = d.it
+			for {
+				it, ok := pending[next]
+				if !ok {
+					break
+				}
+				// Re-check between yields: once the consumer cancels, no
+				// further iterations are emitted — not even buffered ones
+				// — so a run canceled after n yields delivered exactly
+				// the first n.
+				if err := ctx.Err(); err != nil {
+					stop()
+					yield(nil, err)
+					return
+				}
+				delete(pending, next)
+				next++
+				if !yield(it, nil) {
+					stop()
+					return
+				}
+			}
+		}
+	}
+	wait()
+}
+
+// startChains launches the crawler's one worker pool over p and returns
+// a wait function that blocks until every worker has exited and reports
+// whether every chain ran to its end. The pool holds one task per
+// (engine, iteration), with engine e's iteration i+1 enqueued only after
+// visit has returned for iteration i (the channel send/receive pair
+// gives the i→i+1 happens-before the per-engine visited map, breaker and
+// any per-chain visit state need). At most one task per engine is ever
+// outstanding, so the task channel never blocks and
+// min(GOMAXPROCS, engines) workers saturate the available overlap.
+// Once ctx is done, workers pick up no further task and exit.
+func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(chain, seq int, it *Iteration)) (wait func() bool) {
 	// enq timestamps the task's enqueue when telemetry is on (zero
 	// otherwise), so workers can report queue wait vs work time.
 	type task struct {
@@ -450,12 +534,8 @@ func (c *Crawler) streamParallel(ctx context.Context, p *crawlPlan, yield func(*
 	if workers < 1 {
 		workers = 1
 	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	tasks := make(chan task, len(p.counts))
-	completed := make(chan done, len(p.counts)) // bounded: backpressure on slow consumers
-	var chains atomic.Int32                     // engine chains still running
+	var chains atomic.Int32 // engine chains still running
 	var wg sync.WaitGroup
 	for idx, n := range p.counts {
 		if n > p.start[idx] {
@@ -472,27 +552,19 @@ func (c *Crawler) streamParallel(ctx context.Context, p *crawlPlan, yield func(*
 			defer wg.Done()
 			for {
 				select {
-				case <-pctx.Done():
+				case <-ctx.Done():
 					return
 				case t, ok := <-tasks:
-					if !ok {
+					if !ok || ctx.Err() != nil {
 						return
 					}
 					if tele != nil && !t.enq.IsZero() {
 						tele.ObserveWall(telemetry.StageQueueWait, time.Since(t.enq)) //lint:allow detclock queue-wait telemetry on the wall clock, never outputs
 					}
-					it := c.runOne(p, t.idx, t.iter)
-					select {
-					case completed <- done{p.base[t.idx] + t.iter - p.start[t.idx], it}:
-					case <-pctx.Done():
-						return
-					}
+					visit(t.idx, p.base[t.idx]+t.iter-p.start[t.idx], c.runOne(p, t.idx, t.iter))
 					if t.iter+1 < p.counts[t.idx] {
-						select {
-						case tasks <- task{t.idx, t.iter + 1, stamp()}:
-						case <-pctx.Done():
-							return
-						}
+						// Never blocks: this chain's slot is free.
+						tasks <- task{t.idx, t.iter + 1, stamp()}
 					} else if chains.Add(-1) == 0 {
 						close(tasks)
 					}
@@ -500,46 +572,10 @@ func (c *Crawler) streamParallel(ctx context.Context, p *crawlPlan, yield func(*
 			}
 		}()
 	}
-
-	// Emit in dataset order on the consumer's goroutine, reordering
-	// out-of-order completions.
-	pending := make(map[int]*Iteration)
-	next := 0
-	for next < p.total {
-		select {
-		case <-ctx.Done():
-			cancel()
-			wg.Wait()
-			yield(nil, ctx.Err())
-			return
-		case d := <-completed:
-			pending[d.global] = d.it
-			for {
-				it, ok := pending[next]
-				if !ok {
-					break
-				}
-				// Re-check between yields: once the consumer cancels, no
-				// further iterations are emitted — not even buffered ones
-				// — so a run canceled after n yields delivered exactly
-				// the first n.
-				if err := ctx.Err(); err != nil {
-					cancel()
-					wg.Wait()
-					yield(nil, err)
-					return
-				}
-				delete(pending, next)
-				next++
-				if !yield(it, nil) {
-					cancel()
-					wg.Wait()
-					return
-				}
-			}
-		}
+	return func() bool {
+		wg.Wait()
+		return chains.Load() == 0
 	}
-	wg.Wait()
 }
 
 // runIteration performs one full crawl iteration in a fresh browser

@@ -53,6 +53,54 @@ func TestIterationsMatchesRunDataset(t *testing.T) {
 	}
 }
 
+// TestRunChainsMatchesRunDataset: the pool primitive visits every
+// iteration of the dataset exactly once, tagged with its engine's chain
+// index and its dataset position, each chain in index order; config
+// errors and a canceled context come back before any visit.
+func TestRunChainsMatchesRunDataset(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := websim.Config{Seed: 404, QueriesPerEngine: 4}
+	ds, err := New(Config{World: websim.NewWorld(cfg)}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{World: websim.NewWorld(cfg)})
+	got := make([]*Iteration, len(ds.Iterations))
+	last := make([]int, len(c.Engines())) // per chain: last seq visited + 1
+	err = c.RunChains(context.Background(), func(chain, seq int, it *Iteration) {
+		if c.Engines()[chain] != it.Engine || seq < last[chain] || got[seq] != nil {
+			t.Errorf("visit(chain %d, seq %d, %s) out of chain order", chain, seq, it.Instance)
+			return
+		}
+		last[chain] = seq + 1
+		got[seq] = it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range ds.Iterations {
+		a, b := it, got[i]
+		if b == nil {
+			t.Fatalf("seq %d (%s) never visited", i, a.Instance)
+		}
+		ja, _ := AppendIteration(nil, a)
+		jb, _ := AppendIteration(nil, b)
+		if string(ja) != string(jb) {
+			t.Fatalf("seq %d: pool iteration %s differs from the dataset's", i, b.Instance)
+		}
+	}
+
+	visit := func(_, _ int, it *Iteration) { t.Errorf("visited %s", it.Instance) }
+	if err := New(Config{World: websim.NewWorld(cfg), Engines: []string{"askjeeves"}}).RunChains(context.Background(), visit); !errors.Is(err, ErrUnknownEngine) {
+		t.Fatalf("RunChains(unknown engine) = %v, want ErrUnknownEngine", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := New(Config{World: websim.NewWorld(cfg)}).RunChains(ctx, visit); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunChains(canceled) = %v, want context.Canceled", err)
+	}
+}
+
 // TestIterationsUnknownEngine: config errors surface as the stream's
 // terminal error and wrap ErrUnknownEngine.
 func TestIterationsUnknownEngine(t *testing.T) {

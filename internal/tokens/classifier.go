@@ -1,6 +1,7 @@
 package tokens
 
 import (
+	"slices"
 	"sort"
 
 	"searchads/internal/intern"
@@ -266,12 +267,15 @@ func (a *Accumulator) Merge(b *Accumulator) {
 			a.values[nid] = valueState{firstInstance: inst, multi: bv.multi}
 		}
 	}
+	// Both key spaces lead with the instance, so shards that split the
+	// stream by engine or by range rarely share a key: a key new to a
+	// takes b's lists, already distinct, copied at their exact size.
 	for k, bad := range b.adKeys {
 		nk := uint64(remap(uint32(k>>32)))<<32 | uint64(remap(uint32(k)))
 		ad := a.adKeys[nk]
 		if ad == nil {
-			ad = &adState{}
-			a.adKeys[nk] = ad
+			a.adKeys[nk] = &adState{adIdx: slices.Clone(bad.adIdx), vals: remapAll(bad.vals, remap)}
+			continue
 		}
 		for _, ai := range bad.adIdx {
 			ad.adIdx = appendDistinct32(ad.adIdx, ai)
@@ -284,8 +288,8 @@ func (a *Accumulator) Merge(b *Accumulator) {
 		nk := sessKey{inst: remap(k.inst), key: remap(k.key), host: remap(k.host), src: remap(k.src)}
 		s := a.sessKeys[nk]
 		if s == nil {
-			s = &sessState{}
-			a.sessKeys[nk] = s
+			a.sessKeys[nk] = &sessState{base: remapAll(bs.base, remap), revisit: remapAll(bs.revisit, remap)}
+			continue
 		}
 		for _, v := range bs.base {
 			s.base = appendDistinct(s.base, remap(v))
@@ -410,6 +414,19 @@ func (a *Accumulator) heuristicReason(id uint32, val string) Reason {
 // whole fold however many sightings ask.
 func (a *Accumulator) PassesHeuristicsID(id uint32) bool {
 	return a.heuristicReason(id, a.tab.Str(id)) == ReasonUserID
+}
+
+// remapAll returns ids translated through remap, at their exact size
+// (nil for none). remap is injective, so distinct ids stay distinct.
+func remapAll(ids []uint32, remap func(uint32) uint32) []uint32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]uint32, len(ids))
+	for i, id := range ids {
+		out[i] = remap(id)
+	}
+	return out
 }
 
 // appendDistinct appends v if absent. The slices it maintains are one

@@ -39,9 +39,11 @@
 // The analysis fold shards across cores. Nothing changes for existing
 // callers — reports stay byte-identical — but three new levers exist:
 //
-//   - Config.Parallel now parallelises Analyze/AnalyzeWith too: the
-//     fold runs one shard Accumulator per core (round-robin over a live
-//     stream, contiguous ranges over a cached dataset) and merges them.
+//   - Config.Parallel now parallelises Analyze/AnalyzeWith too. A
+//     live crawl folds on the crawl's own worker pool, one Accumulator
+//     per engine chain merged in engine order (an ordered single fold
+//     when a Sink is set); a cached dataset folds in one contiguous
+//     range per core. Both merge into the sequential report's bytes.
 //   - AnalyzeDatasetSharded(ds, shards) is the explicit dataset form.
 //   - Hand-rolled consumers shard with the Accumulator primitives:
 //     give each worker its own NewAccumulator(opts) built from one
@@ -474,7 +476,9 @@ func (s *Study) Crawl(ctx context.Context) (*Dataset, error) {
 // iterations); their engine-major emission order still buffers faster
 // engines' completions until the cursor reaches them, so a Parallel
 // stream trades memory for speed — leave Parallel off when the memory
-// bound matters. A live stream consumes the world's identifier state, so
+// bound matters. (A Parallel Analyze with no Sink does not go through
+// this stream: it folds on the crawl pool and buffers nothing; see
+// AnalyzeWith.) A live stream consumes the world's identifier state, so
 // whether it completes, is canceled, or is abandoned by breaking out
 // early, a later Crawl/Analyze/Iterations rebuilds the world and
 // re-crawls from scratch — deterministically, as a fresh study would.
@@ -527,12 +531,14 @@ func (s *Study) Analyze(ctx context.Context) (*Report, error) {
 // wrapping ErrReportCached rather than a report the new options never
 // touched.
 //
-// When the study is Parallel, the fold itself is sharded across
-// GOMAXPROCS accumulators — a cached dataset in contiguous ranges, a
-// live stream round-robin as iterations arrive — and the shards merged
-// (Accumulator.Merge), so analysis scales with cores the way the crawl
-// does. The report is byte-identical to the sequential fold whatever
-// the shard count.
+// When the study is Parallel, the fold runs on the cores too. A live
+// crawl folds on the crawl's own worker pool: one Accumulator per
+// engine chain, fed by the worker that crawled each iteration, then
+// merged in engine order (Accumulator.Merge) — no iteration waits in a
+// reorder buffer. A cached dataset folds in GOMAXPROCS contiguous
+// ranges. A Sink set on the study keeps its stream-order contract, so
+// its live crawl folds the ordered stream into one accumulator. The
+// report is byte-identical to the sequential fold in every case.
 func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report, error) {
 	if s.report != nil {
 		if opts != s.reportOpts {
@@ -542,22 +548,21 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 	}
 	var report *Report
 	var err error
-	if shards := s.analysisShards(); shards > 1 {
-		report, err = s.analyzeSharded(ctx, opts, shards)
-	} else {
+	switch {
+	case s.cfg.Parallel && s.dataset != nil:
+		report, err = analysis.AnalyzeSharded(ctx, s.dataset, opts, runtime.GOMAXPROCS(0))
+		err = wrapCanceled(err)
+	case s.cfg.Parallel && s.cfg.Sink == nil:
+		report, err = s.analyzeChains(ctx, opts)
+	default:
 		acc := analysis.NewAccumulator(opts)
-		tele := s.cfg.Telemetry
+		seq := 0
 		for it, iterErr := range s.Iterations(ctx) {
 			if iterErr != nil {
 				return nil, iterErr
 			}
-			if tele == nil {
-				acc.Add(it)
-				continue
-			}
-			start := time.Now()
-			acc.Add(it)
-			tele.ObserveWall(telemetry.StageAnalysisFold, time.Since(start))
+			s.fold(acc, it, seq)
+			seq++
 		}
 		report = acc.Report()
 	}
@@ -569,35 +574,45 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 	return s.report, nil
 }
 
-// analysisShards picks the fold's shard count: one per core for
-// Parallel studies, sequential otherwise.
-func (s *Study) analysisShards() int {
-	if !s.cfg.Parallel {
-		return 1
+// analyzeChains folds a live Parallel crawl on its worker pool
+// (crawler.RunChains): each engine chain's accumulator sees one
+// contiguous, in-order range of the dataset stream, so merging them in
+// chain order yields the sequential fold's bytes however the workers
+// were scheduled.
+func (s *Study) analyzeChains(ctx context.Context, opts AnalysisOptions) (*Report, error) {
+	if s.cfgErr != nil {
+		return nil, s.cfgErr
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// analyzeSharded folds the study across a pool of shard accumulators
-// and merges them. A cached dataset folds in contiguous ranges
-// (analysis.AnalyzeSharded); a live stream distributes iterations
-// round-robin through an analysis.StreamSharder, so the merged report
-// is byte-identical to the sequential fold either way while retaining
-// at most one in-flight iteration per shard.
-func (s *Study) analyzeSharded(ctx context.Context, opts AnalysisOptions, shards int) (*Report, error) {
-	if s.dataset != nil {
-		rep, err := analysis.AnalyzeSharded(ctx, s.dataset, opts, shards)
-		return rep, wrapCanceled(err)
+	c := s.newCrawler()
+	accs := make([]*analysis.Accumulator, len(c.Engines()))
+	for k := range accs {
+		accs[k] = analysis.NewAccumulator(opts)
 	}
-	sharder := analysis.NewStreamSharder(opts, shards, nil)
-	for it, err := range s.Iterations(ctx) {
-		if err != nil {
-			sharder.Abort()
+	err := c.RunChains(ctx, func(chain, seq int, it *Iteration) {
+		s.fold(accs[chain], it, seq)
+	})
+	if err != nil {
+		return nil, wrapCanceled(err)
+	}
+	for _, acc := range accs[1:] {
+		if err := accs[0].Merge(acc); err != nil {
 			return nil, err
 		}
-		sharder.Add(it)
 	}
-	return sharder.Finish()
+	return accs[0].Report(), nil
+}
+
+// fold adds one iteration to acc at stream position seq, timing it
+// into the study's telemetry when one is attached.
+func (s *Study) fold(acc *analysis.Accumulator, it *Iteration, seq int) {
+	tele := s.cfg.Telemetry
+	if tele == nil {
+		acc.AddAt(it, seq)
+		return
+	}
+	start := time.Now() //lint:allow detclock wall-clock fold timing feeds telemetry percentiles, never outputs
+	acc.AddAt(it, seq)
+	tele.ObserveWall(telemetry.StageAnalysisFold, time.Since(start)) //lint:allow detclock wall-clock fold timing feeds telemetry percentiles, never outputs
 }
 
 // Sweep types, re-exported for matrix construction and result

@@ -58,62 +58,100 @@ func TestAccumulatorByteIdenticalToAnalyze(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShardedByteIdenticalToSequential drives the Parallel
-// analysis fold — live-stream round-robin sharding and cached-dataset
-// contiguous sharding alike — and asserts both reports byte-identical
-// to the sequential fold. GOMAXPROCS is raised so the sharded path
-// engages even on single-core CI.
+// TestAnalyzeShardedByteIdenticalToSequential drives every Parallel
+// analysis fold — the live crawl folded per engine chain on the crawl
+// pool, the cached dataset folded in contiguous ranges, and a live crawl
+// with a Sink, which keeps the ordered stream — at GOMAXPROCS 1, 2 and
+// 4, and asserts each report byte-identical to the sequential fold. The
+// hostile config arms faults, a strict adversary and the full
+// countermeasure bundle, so breaker sheds and retries run on the pool.
 func TestAnalyzeShardedByteIdenticalToSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ctx := context.Background()
-	cfg := searchads.Config{
-		Seed:             77,
-		Engines:          []string{searchads.Bing, searchads.Qwant},
-		QueriesPerEngine: 6,
-	}
-	seq, err := searchads.NewStudy(cfg).Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRendered, wantJSON := seq.Render(), mustJSON(t, seq)
+	for _, tc := range []struct {
+		name    string
+		cfg     searchads.Config
+		hostile bool
+	}{
+		{name: "five-engines", cfg: searchads.Config{Seed: 77, QueriesPerEngine: 6}},
+		{name: "hostile", hostile: true, cfg: searchads.Config{
+			Seed: 2, QueriesPerEngine: 10,
+			FaultProfile: "bot-hostile", FaultRate: 0.05,
+			Adversary: "strict", Countermeasures: "full",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := searchads.NewStudy(tc.cfg).Crawl(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := searchads.NewStudy(tc.cfg).Analyze(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRendered, wantJSON := seq.Render(), mustJSON(t, seq)
+			same := func(r *searchads.Report) bool {
+				return r.Render() == wantRendered && bytes.Equal(mustJSON(t, r), wantJSON)
+			}
 
-	par := cfg
-	par.Parallel = true
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				par := tc.cfg
+				par.Parallel = true
 
-	// Live crawl: the fold shards round-robin off the stream, no
-	// dataset is materialised.
-	live, err := searchads.NewStudy(par).Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Render() != wantRendered || !bytes.Equal(mustJSON(t, live), wantJSON) {
-		t.Fatal("live sharded report differs from sequential")
-	}
+				// Live crawl: one accumulator per engine chain, folded on
+				// the crawl's workers and merged in engine order.
+				tele := searchads.NewTelemetry()
+				live := par
+				live.Telemetry = tele
+				rep, err := searchads.NewStudy(live).Analyze(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(rep) {
+					t.Fatalf("GOMAXPROCS=%d: live pool-folded report differs from sequential", procs)
+				}
+				if snap := tele.Snapshot(); tc.hostile && (snap.Counter("breaker_sheds") == 0 || snap.Counter("retries") == 0) {
+					t.Fatalf("GOMAXPROCS=%d: hostile crawl shed %d iterations and retried %d navigations, want both > 0",
+						procs, snap.Counter("breaker_sheds"), snap.Counter("retries"))
+				}
 
-	// Cached dataset: the fold shards in contiguous ranges.
-	study := searchads.NewStudy(par)
-	if _, err := study.Crawl(ctx); err != nil {
-		t.Fatal(err)
-	}
-	cached, err := study.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Render() != wantRendered || !bytes.Equal(mustJSON(t, cached), wantJSON) {
-		t.Fatal("cached-dataset sharded report differs from sequential")
-	}
+				// Cached dataset: the fold shards in contiguous ranges.
+				study := searchads.NewStudy(par)
+				if _, err := study.Crawl(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if rep, err := study.Analyze(ctx); err != nil || !same(rep) {
+					t.Fatalf("GOMAXPROCS=%d: cached-dataset sharded report differs from sequential (err %v)", procs, err)
+				}
 
-	// The explicit dataset entry point agrees too.
-	ds, err := searchads.NewStudy(cfg).Crawl(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := searchads.AnalyzeDatasetSharded(ctx, ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Render() != wantRendered || !bytes.Equal(mustJSON(t, sharded), wantJSON) {
-		t.Fatal("AnalyzeDatasetSharded report differs from sequential")
+				// A Sink keeps its stream-order contract on a Parallel
+				// Analyze: every call in dataset order, report unchanged.
+				var got []string
+				sinked := par
+				sinked.Sink = func(it *searchads.Iteration) { got = append(got, it.Instance) }
+				if rep, err := searchads.NewStudy(sinked).Analyze(ctx); err != nil || !same(rep) {
+					t.Fatalf("GOMAXPROCS=%d: Sink-fed Parallel report differs from sequential (err %v)", procs, err)
+				}
+				if len(got) != len(ds.Iterations) {
+					t.Fatalf("GOMAXPROCS=%d: Sink saw %d iterations, want %d", procs, len(got), len(ds.Iterations))
+				}
+				for i, it := range ds.Iterations {
+					if got[i] != it.Instance {
+						t.Fatalf("GOMAXPROCS=%d: Sink call %d = %s, want %s (dataset order)", procs, i, got[i], it.Instance)
+					}
+				}
+			}
+
+			// The explicit dataset entry point agrees too.
+			sharded, err := searchads.AnalyzeDatasetSharded(ctx, ds, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(sharded) {
+				t.Fatal("AnalyzeDatasetSharded report differs from sequential")
+			}
+		})
 	}
 }
 
@@ -321,6 +359,81 @@ func TestCrawlCancelNoLeak(t *testing.T) {
 	if !leakFree {
 		t.Fatalf("goroutines %d > baseline %d after canceled Crawl", runtime.NumGoroutine(), before)
 	}
+}
+
+// TestParallelAnalyzeCancelNoLeak: a Parallel AnalyzeWith folding a
+// live crawl on its pool, canceled before the crawl starts or midway,
+// returns an error wrapping ErrCanceled and ctx.Err(), caches no
+// report, and leaks no goroutines; a later Analyze with a fresh context
+// is byte-identical to the sequential report.
+func TestParallelAnalyzeCancelNoLeak(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := searchads.Config{Seed: 88, QueriesPerEngine: 10}
+	seq, err := searchads.NewStudy(cfg).Analyze(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustJSON(t, seq)
+	total := uint64(len(searchads.AllEngines()) * cfg.QueriesPerEngine)
+
+	for _, mid := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		par := cfg
+		par.Parallel = true
+		par.Telemetry = searchads.NewTelemetry()
+		if mid {
+			// The crawl's own event trace cancels it: the tenth event is
+			// emitted on a pool worker a few iterations in.
+			par.Telemetry.SetSink(&cancelAfter{n: 10, cancel: cancel})
+		} else {
+			cancel()
+		}
+		study := searchads.NewStudy(par)
+		rep, err := study.Analyze(ctx)
+		if rep != nil || !errors.Is(err, searchads.ErrCanceled) || !errors.Is(err, ctx.Err()) {
+			t.Fatalf("mid=%v: Analyze under canceled ctx = (%v, %v)", mid, rep, err)
+		}
+		if n := par.Telemetry.Snapshot().Counter("iterations"); mid && (n == 0 || n >= total) {
+			t.Fatalf("mid=%v: canceled after %d of %d iterations, want a mid-crawl cancel", mid, n, total)
+		}
+		par.Telemetry.SetSink(nil)
+		cancel()
+
+		// Nothing was cached: a fresh context re-crawls from scratch.
+		rep, err = study.Analyze(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustJSON(t, rep), want) {
+			t.Fatalf("mid=%v: recovered Parallel report differs from sequential", mid)
+		}
+		leakFree := false
+		for i := 0; i < 50; i++ {
+			if runtime.NumGoroutine() <= before {
+				leakFree = true
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if !leakFree {
+			t.Fatalf("mid=%v: goroutines %d > baseline %d after canceled Analyze", mid, runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// cancelAfter is an event-trace writer that cancels its context at the
+// n-th event line.
+type cancelAfter struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (w *cancelAfter) Write(p []byte) (int, error) {
+	if w.n--; w.n == 0 {
+		w.cancel()
+	}
+	return len(p), nil
 }
 
 // TestAnalyzeWithDifferentOptionsErrors: the second AnalyzeWith with

@@ -2,6 +2,7 @@ package searchads_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,6 +112,45 @@ func TestTelemetryDoesNotChangeReport(t *testing.T) {
 	}
 	if off, on := run(nil), run(searchads.NewTelemetry()); off != on {
 		t.Error("sweep result JSON differs with telemetry attached")
+	}
+}
+
+// TestParallelAnalyzeFoldTelemetry pins that a Parallel study records
+// its analysis fold like a sequential one: one analysis_fold sample per
+// crawled iteration, taken on the pool worker that folded it, with the
+// report's bytes unchanged by the attached registry.
+func TestParallelAnalyzeFoldTelemetry(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	plain, err := searchads.NewStudy(teleConfig(true, nil)).Analyze(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tele := searchads.NewTelemetry()
+	instrumented, err := searchads.NewStudy(teleConfig(true, tele)).Analyze(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Render() != instrumented.Render() {
+		t.Error("Parallel report text differs with telemetry attached")
+	}
+	plainJSON, err := plain.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrJSON, err := instrumented.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(plainJSON) != string(instrJSON) {
+		t.Error("Parallel report JSON differs with telemetry attached")
+	}
+	snap := tele.Snapshot()
+	fold, ok := snap.StageByName("analysis_fold")
+	if !ok {
+		t.Fatal("snapshot has no analysis_fold stage")
+	}
+	if iters := snap.Counter("iterations"); iters == 0 || fold.Wall.Count != iters {
+		t.Errorf("analysis_fold recorded %d folds for %d iterations", fold.Wall.Count, iters)
 	}
 }
 

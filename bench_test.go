@@ -414,7 +414,7 @@ func BenchmarkSec32_TokenFunnel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := tokens.Classify(obs)
-		if len(res.UserIDs) == 0 {
+		if res.ByReason[tokens.ReasonUserID] == 0 {
 			b.Fatal("no user IDs")
 		}
 	}

@@ -234,7 +234,10 @@ func AnalyzeSharded(ctx context.Context, ds *crawler.Dataset, opts Options, shar
 	return accs[0].Report(), nil
 }
 
-// IsUserID exposes the classifier verdict for a value.
+// IsUserID exposes the classifier verdict for a value. It resolves the
+// value through the producing accumulator's intern table, so it must not
+// run concurrently with further folding into that accumulator; a value
+// first seen after the Report was built is not a user ID.
 func (r *Report) IsUserID(value string) bool { return r.classifier.IsUserID(value) }
 
 func sortStrings(s []string) {

@@ -2,7 +2,6 @@ package tokens
 
 import (
 	"slices"
-	"sort"
 
 	"searchads/internal/intern"
 )
@@ -55,27 +54,47 @@ const (
 	ReasonUserID        Reason = "user-identifier" // survived everything
 )
 
-// Result is the classification outcome.
+// reasonCodes lists the reasons a Result stores per value, indexed by
+// code; code 0 is "no verdict" (the id was not a value when Result ran).
+var reasonCodes = [...]Reason{
+	"", ReasonCrossInstance, ReasonAdIdentifier, ReasonSessionID,
+	ReasonHeuristics, ReasonManualPass, ReasonUserID,
+}
+
+// reasonCode is the index of r in reasonCodes.
+func reasonCode(r Reason) uint8 {
+	for c, x := range reasonCodes {
+		if x == r {
+			return uint8(c)
+		}
+	}
+	panic("tokens: unknown reason " + string(r))
+}
+
+// Result is the classification outcome. Verdicts are stored by intern
+// id, so the string lookups (ReasonFor, IsUserID) resolve the value
+// through the producing accumulator's table: do not call them while
+// another goroutine observes into that accumulator. A value the table
+// had not issued as a token value when Result was called has no verdict.
 type Result struct {
 	// TotalTokens is the number of unique token values observed (the
 	// paper's dataset had 6,971).
 	TotalTokens int
-	// UserIDs is the set of values classified as user identifiers (the
-	// paper ended with 1,258).
-	UserIDs map[string]bool
 	// ByReason counts unique tokens per discard reason (UserID counts
-	// the survivors), reproducing the §3.2 funnel.
+	// the survivors; the paper ended with 1,258), reproducing the §3.2
+	// funnel.
 	ByReason map[Reason]int
-	// reasons maps each value to its (first) classification.
-	reasons map[string]Reason
-	// uidByID marks user-identifier verdicts by intern id in the
-	// accumulator's table — the allocation-free lookup id-keyed
-	// consumers (the analysis fold) use instead of string map probes.
+	// tab is the accumulator's intern table; ids index the fields below.
+	tab *intern.Table
+	// reasonByID holds each value's reasonCodes index by intern id.
+	reasonByID []uint8
+	// uidByID marks user-identifier verdicts by intern id — the
+	// allocation-free lookup id-keyed consumers (the analysis fold) use.
 	uidByID bitset
 }
 
 // IsUserID reports whether value was classified as a user identifier.
-func (r *Result) IsUserID(value string) bool { return r.UserIDs[value] }
+func (r *Result) IsUserID(value string) bool { return r.uidByID.has(r.tab.Lookup(value)) }
 
 // UserIDAt reports the verdict for an intern id issued by the table the
 // producing accumulator observed through (see Accumulator.Table). Ids
@@ -83,7 +102,12 @@ func (r *Result) IsUserID(value string) bool { return r.UserIDs[value] }
 func (r *Result) UserIDAt(id uint32) bool { return r.uidByID.has(id) }
 
 // ReasonFor returns the classification of a value ("" if never seen).
-func (r *Result) ReasonFor(value string) Reason { return r.reasons[value] }
+func (r *Result) ReasonFor(value string) Reason {
+	if id := r.tab.Lookup(value); id < uint32(len(r.reasonByID)) {
+		return reasonCodes[r.reasonByID[id]]
+	}
+	return ""
+}
 
 // Classifier runs the §3.2 pipeline. The zero value is ready to use.
 type Classifier struct {
@@ -347,38 +371,29 @@ func (a *Accumulator) Result() *Result {
 
 	res := &Result{
 		TotalTokens: len(a.values),
-		UserIDs:     make(map[string]bool),
 		ByReason:    make(map[Reason]int),
-		reasons:     make(map[string]Reason, len(a.values)),
+		tab:         a.tab,
+		reasonByID:  make([]uint8, n),
 		uidByID:     newBitset(n),
 	}
-	// Deterministic iteration order for stable funnel counts.
-	ordered := make([]uint32, 0, len(a.values))
-	for id := range a.values {
-		ordered = append(ordered, id)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		return a.tab.Str(ordered[i]) < a.tab.Str(ordered[j])
-	})
-
-	for _, id := range ordered {
-		val := a.tab.Str(id)
+	// Each value gets exactly one verdict, a function of the state
+	// alone, so the values are classified in map order.
+	for id, v := range a.values {
 		var reason Reason
 		switch {
-		case a.values[id].multi:
+		case v.multi:
 			reason = ReasonCrossInstance
 		case adValues.has(id):
 			reason = ReasonAdIdentifier
 		case sessValues.has(id):
 			reason = ReasonSessionID
 		default:
-			reason = a.heuristicReason(id, val)
+			reason = a.heuristicReason(id, a.tab.Str(id))
 			if reason == ReasonUserID {
-				res.UserIDs[val] = true
 				res.uidByID.set(id)
 			}
 		}
-		res.reasons[val] = reason
+		res.reasonByID[id] = reasonCode(reason)
 		res.ByReason[reason]++
 	}
 	return res

@@ -2,6 +2,7 @@ package tokens
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -235,9 +236,10 @@ func TestClassifyEmptyValuesIgnored(t *testing.T) {
 	}
 }
 
-func TestClassifyFunnelShape(t *testing.T) {
-	// Build a synthetic corpus shaped like the paper's: constants,
-	// ad IDs, session IDs, heuristic-droppable values, and true UIDs.
+// funnelCorpus is a synthetic corpus shaped like the paper's:
+// constants, ad IDs, session IDs, heuristic-droppable values, and true
+// UIDs, 50 browser instances each.
+func funnelCorpus() []Observation {
 	var all []Observation
 	for i := 0; i < 50; i++ {
 		inst := fmt.Sprintf("i%d", i)
@@ -251,6 +253,11 @@ func TestClassifyFunnelShape(t *testing.T) {
 			obs("uid", fmt.Sprintf("Uid%dKq9ZtP%dv8Lw", i*13, i*11), inst, -1, false),
 		)
 	}
+	return all
+}
+
+func TestClassifyFunnelShape(t *testing.T) {
+	all := funnelCorpus()
 	res := Classify(all)
 	if res.ByReason[ReasonCrossInstance] != 1 {
 		t.Errorf("cross-instance = %d, want 1", res.ByReason[ReasonCrossInstance])
@@ -278,7 +285,7 @@ func TestClassifyFunnelShape(t *testing.T) {
 }
 
 // Property: classification is deterministic regardless of observation
-// order (the pipeline sorts internally).
+// order: every observed value gets the same verdict either way.
 func TestClassifyOrderInvariance(t *testing.T) {
 	a := []Observation{
 		obs("k1", "ValueOne1234567", "i1", -1, false),
@@ -287,9 +294,67 @@ func TestClassifyOrderInvariance(t *testing.T) {
 	}
 	b := []Observation{a[2], a[0], a[1]}
 	ra, rb := Classify(a), Classify(b)
-	for v := range ra.reasons {
-		if ra.ReasonFor(v) != rb.ReasonFor(v) {
-			t.Fatalf("order-dependent classification for %q", v)
+	for _, o := range a {
+		if ra.ReasonFor(o.Value) != rb.ReasonFor(o.Value) {
+			t.Fatalf("order-dependent classification for %q", o.Value)
+		}
+	}
+}
+
+// TestResultRepeatable asks one accumulator for its Result 20 times:
+// values are classified in map order, so the funnel and every per-value
+// verdict must not depend on that order. Values the Result never
+// classified — never seen, or first observed after the call — have no
+// verdict, even when the string was already interned as a key.
+func TestResultRepeatable(t *testing.T) {
+	all := append(funnelCorpus(),
+		obs("pref", "acceptCookies", "i0", -1, false), // manual pass
+		obs("LateValueAsKey9x", "Qz8vLp2KxWm4Tn6R", "i0", -1, false))
+	acc := NewAccumulator()
+	for _, o := range all {
+		acc.Observe(o)
+	}
+	first := acc.Result()
+	for _, r := range []Reason{ReasonCrossInstance, ReasonAdIdentifier, ReasonSessionID,
+		ReasonHeuristics, ReasonManualPass, ReasonUserID} {
+		if first.ByReason[r] == 0 {
+			t.Fatalf("corpus exercises no %q verdict: %v", r, first.ByReason)
+		}
+	}
+	for round := 1; round < 20; round++ {
+		res := acc.Result()
+		if !maps.Equal(res.ByReason, first.ByReason) || res.TotalTokens != first.TotalTokens {
+			t.Fatalf("round %d: funnel %d %v, first %d %v",
+				round, res.TotalTokens, res.ByReason, first.TotalTokens, first.ByReason)
+		}
+		for _, o := range all {
+			reason, uid := res.ReasonFor(o.Value), res.IsUserID(o.Value)
+			if reason == "" || reason != first.ReasonFor(o.Value) || uid != first.IsUserID(o.Value) {
+				t.Fatalf("round %d: %q = (%q, %v), first (%q, %v)", round, o.Value,
+					reason, uid, first.ReasonFor(o.Value), first.IsUserID(o.Value))
+			}
+			if uid != (reason == ReasonUserID) {
+				t.Fatalf("round %d: %q IsUserID = %v with reason %q", round, o.Value, uid, reason)
+			}
+		}
+	}
+
+	unseen := []string{"NeverObserved7Kq2Zp", "LateValueAsKey9x", "i3"}
+	for _, v := range unseen {
+		if r, uid := first.ReasonFor(v), first.IsUserID(v); r != "" || uid {
+			t.Errorf("unseen value %q = (%q, %v), want (\"\", false)", v, r, uid)
+		}
+	}
+	late := []string{"LateFreshValue5Hw8Rj", "LateValueAsKey9x"}
+	for _, v := range late {
+		acc.Observe(obs("late", v, "i9", -1, false))
+	}
+	for _, v := range late {
+		if r, uid := first.ReasonFor(v), first.IsUserID(v); r != "" || uid {
+			t.Errorf("value %q observed after Result = (%q, %v), want (\"\", false)", v, r, uid)
+		}
+		if !acc.Result().IsUserID(v) {
+			t.Errorf("a fresh Result does not classify late value %q as a user ID", v)
 		}
 	}
 }

@@ -29,30 +29,37 @@ func TestRegistrableDomainMemoAgreement(t *testing.T) {
 	}
 }
 
-// TestRDCacheBoundAndEviction checks the LRU keeps its bound and evicts
-// least-recently-used entries first.
-func TestRDCacheBoundAndEviction(t *testing.T) {
-	c := newRDCache(4)
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("h%d.example", i), fmt.Sprintf("h%d.example", i))
+// TestRegistrableDomainMemoCollision alternates two hosts that share a
+// memo slot: each lookup evicts the other, and each must still resolve
+// to the uncached suffix walk's answer, also after a flood of four
+// times as many distinct hosts as the table has slots. The table is a
+// fixed array, so its size cannot change; the first check pins it.
+func TestRegistrableDomainMemoCollision(t *testing.T) {
+	if rdSlots&(rdSlots-1) != 0 || len(rdMemo) != rdSlots {
+		t.Fatalf("memo has %d slots, want the power of two %d", len(rdMemo), rdSlots)
 	}
-	if c.len() != 4 {
-		t.Fatalf("cache len = %d, want 4", c.len())
+	a := "a0.collide.example"
+	var b string
+	for i := 1; b == ""; i++ {
+		if h := fmt.Sprintf("b%d.other.co.uk", i); rdSlot(h) == rdSlot(a) {
+			b = h
+		}
 	}
-	if _, ok := c.get("h0.example"); ok {
-		t.Fatal("oldest entry survived eviction")
+	for round := 0; round < 10; round++ {
+		for _, h := range []string{a, b} {
+			if got, want := RegistrableDomain(h), registrableDomain(h); got != want {
+				t.Fatalf("round %d: RegistrableDomain(%q) = %q, memo-less = %q", round, h, got, want)
+			}
+			if e := rdMemo[rdSlot(h)].Load(); e == nil || e.host != h {
+				t.Fatalf("round %d: slot of %q does not hold it after a lookup", round, h)
+			}
+		}
 	}
-	if site, ok := c.get("h9.example"); !ok || site != "h9.example" {
-		t.Fatalf("newest entry missing: %q %v", site, ok)
+	for i := 0; i < 4*rdSlots; i++ {
+		RegistrableDomain(fmt.Sprintf("flood%d.example", i))
 	}
-	// Touching an entry protects it from the next eviction.
-	c.get("h6.example")
-	c.put("new.example", "new.example")
-	if _, ok := c.get("h6.example"); !ok {
-		t.Fatal("recently-used entry was evicted")
-	}
-	if _, ok := c.get("h7.example"); ok {
-		t.Fatal("least-recently-used entry was not evicted")
+	if got := RegistrableDomain(b); got != "other.co.uk" {
+		t.Fatalf("RegistrableDomain(%q) after flood = %q", b, got)
 	}
 }
 

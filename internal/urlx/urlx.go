@@ -10,12 +10,11 @@
 package urlx
 
 import (
-	"container/list"
 	"fmt"
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
 // publicSuffixes is an embedded subset of the public-suffix list. Keys are
@@ -38,76 +37,53 @@ func IsPublicSuffix(host string) bool {
 	return ok && n == strings.Count(h, ".")+1
 }
 
-// rdCache is a bounded, mutex-guarded LRU memo for RegistrableDomain.
-// A crawl resolves the same few hundred hosts millions of times (every
-// request record, every cookie, every filter match), so the suffix walk
-// below — ToLower, Split, Join — is worth caching. The bound keeps a
-// hostile or unbounded host stream from growing the map without limit.
-type rdCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	ll  *list.List // front = most recently used
-}
+// rdSlots is the size of the RegistrableDomain memo: a power of two
+// comfortably above the ~1k distinct hosts one study resolves, so
+// slot collisions stay rare.
+const rdSlots = 4096
 
+// rdEntry is one immutable memo entry. A slot is overwritten by
+// storing a new entry, never by mutating one, so a reader that loads
+// a pointer sees a consistent host/site pair.
 type rdEntry struct {
 	host string
 	site string
 }
 
-func newRDCache(capacity int) *rdCache {
-	return &rdCache{cap: capacity, m: make(map[string]*list.Element, capacity), ll: list.New()}
-}
+// rdMemo is a direct-mapped, lock-free memo for RegistrableDomain.
+// A crawl resolves the same few hundred hosts millions of times (every
+// request record, every cookie, every filter match) from every crawl
+// worker at once, so the suffix walk below — ToLower, Split, Join — is
+// worth caching and the cache must not serialise its readers. Each host
+// owns one slot: a hit is one atomic load and one string compare, a
+// miss recomputes and overwrites the slot. The fixed table bounds the
+// memo however many distinct hosts a hostile stream presents.
+var rdMemo [rdSlots]atomic.Pointer[rdEntry]
 
-func (c *rdCache) get(host string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[host]
-	if !ok {
-		return "", false
+// rdSlot returns host's memo slot index (FNV-1a, masked).
+func rdSlot(host string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(host); i++ {
+		h = (h ^ uint32(host[i])) * 16777619
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*rdEntry).site, true
+	return h & (rdSlots - 1)
 }
-
-func (c *rdCache) put(host, site string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[host]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*rdEntry).site = site
-		return
-	}
-	c.m[host] = c.ll.PushFront(&rdEntry{host: host, site: site})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*rdEntry).host)
-	}
-}
-
-// len reports the number of cached entries (test hook).
-func (c *rdCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-var rdMemo = newRDCache(4096)
 
 // RegistrableDomain returns the eTLD+1 for host: the public suffix plus one
 // label. If host is itself a public suffix, an IP literal, or empty, the
 // host is returned unchanged (lowercased, without port). Results are
-// memoised in a bounded LRU: the lookup is on the request hot path.
+// memoised in a fixed-size, lock-free direct-mapped table: the lookup
+// is on the request hot path of every crawl worker.
 func RegistrableDomain(host string) string {
 	if host == "" {
 		return ""
 	}
-	if site, ok := rdMemo.get(host); ok {
-		return site
+	slot := &rdMemo[rdSlot(host)]
+	if e := slot.Load(); e != nil && e.host == host {
+		return e.site
 	}
 	site := registrableDomain(host)
-	rdMemo.put(host, site)
+	slot.Store(&rdEntry{host: host, site: site})
 	return site
 }
 

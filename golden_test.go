@@ -1,6 +1,8 @@
 package searchads_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -57,12 +59,29 @@ var goldenCells = []struct {
 }
 
 // TestGoldenReports regenerates each corpus cell and compares the
-// rendered and JSON reports byte-for-byte against testdata/golden/.
-// With -update it rewrites the corpus instead.
+// rendered and JSON reports byte-for-byte against testdata/golden/,
+// and the SHA-256 of the cell's saved dataset against its
+// <cell>.dataset.sha256 digest. With -update it rewrites the corpus
+// instead.
 func TestGoldenReports(t *testing.T) {
 	for _, cell := range goldenCells {
 		t.Run(cell.name, func(t *testing.T) {
-			report, err := searchads.NewStudy(cell.cfg).Analyze(t.Context())
+			study := searchads.NewStudy(cell.cfg)
+			ds, err := study.Crawl(t.Context())
+			if err != nil {
+				t.Fatalf("Crawl: %v", err)
+			}
+			path := filepath.Join(t.TempDir(), "dataset.json")
+			if err := ds.Save(path); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			saved, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(saved)
+			checkGolden(t, cell.name+".dataset.sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
+			report, err := study.Analyze(t.Context())
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}

@@ -191,7 +191,7 @@ func TestPlatformBuildClick(t *testing.T) {
 
 // unwind follows a chain's NextParam links and returns every hop's host
 // and the innermost URL.
-func unwind(t *testing.T, u *url.URL) ([]string, string) {
+func unwind(t *testing.T, u urlx.URL) ([]string, string) {
 	t.Helper()
 	var hosts []string
 	for {
@@ -218,7 +218,7 @@ func TestMicrosoftClickWithCrossTag(t *testing.T) {
 		t.Fatalf("click server = %s%s", href.Host, href.Path)
 	}
 	landing := urlx.MustParse(click.Landing)
-	q := landing.Query()
+	q, _ := url.ParseQuery(landing.RawQuery)
 	if q.Get("msclkid") == "" || q.Get("gclid") == "" || q.Get("irclickid") == "" {
 		t.Fatalf("landing params = %v", q)
 	}

@@ -1,7 +1,6 @@
 package adtech
 
 import (
-	"net/url"
 	"sort"
 	"strings"
 
@@ -17,8 +16,9 @@ import (
 type Campaign struct {
 	// ID identifies the campaign.
 	ID string
-	// Landing is the destination URL (without tracking parameters).
-	Landing *url.URL
+	// Landing is the destination URL (without tracking parameters),
+	// canonicalised once when the campaign is built.
+	Landing urlx.URL
 	// Keywords trigger the ad for matching queries.
 	Keywords []string
 	// Stack is the ordered list of redirector hosts the click bounces
@@ -170,7 +170,7 @@ func (p *Platform) BuildClick(c *Campaign, client string) *AdClick {
 			kv[j], kv[j+1], kv[j-2], kv[j-1] = kv[j-2], kv[j-1], kv[j], kv[j+1]
 		}
 	}
-	click.Landing = urlx.Decorate(c.Landing, kv...)
+	click.Landing = urlx.Decorate(c.Landing, kv...).String()
 	return click
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"searchads/internal/detrand"
 	"searchads/internal/netsim"
@@ -38,13 +39,39 @@ type Tracker struct {
 	// phone-home request — the "UID smuggling lets redirectors
 	// aggregate activity on destination sites" behaviour of §4.3.
 	ReadsSmuggledUIDs bool
+
+	// urls holds the script and pixel URLs, built on first use and then
+	// shared: a study's worlds share one tracker universe, and every
+	// landing page and tracker script run needs the URLs. The fields
+	// above must not change once a URL has been asked for.
+	urls atomic.Pointer[trackerURLs]
+}
+
+// trackerURLs is a tracker's script and pixel URL.
+type trackerURLs struct {
+	script string
+	pixel  urlx.URL
+}
+
+// builtURLs returns the tracker's URLs, building them on first use.
+// Concurrent first uses build equal values; either may be kept.
+func (t *Tracker) builtURLs() *trackerURLs {
+	if u := t.urls.Load(); u != nil {
+		return u
+	}
+	u := &trackerURLs{
+		script: "https://" + t.Host + t.ScriptPath,
+		pixel:  urlx.MustParse("https://" + t.Host + t.PixelPath),
+	}
+	t.urls.Store(u)
+	return u
 }
 
 // ScriptURL returns the tracker's script resource URL.
-func (t *Tracker) ScriptURL() string { return "https://" + t.Host + t.ScriptPath }
+func (t *Tracker) ScriptURL() string { return t.builtURLs().script }
 
 // PixelURL returns the tracker's pixel URL.
-func (t *Tracker) PixelURL() string { return "https://" + t.Host + t.PixelPath }
+func (t *Tracker) PixelURL() urlx.URL { return t.builtURLs().pixel }
 
 // BuiltinTrackers returns the named tracker services of Table 5 (Google,
 // Microsoft, Amazon, Facebook, Criteo properties).
@@ -189,19 +216,20 @@ func (reg *TrackerRegistry) scriptFor(t *Tracker) netsim.ScriptProgram {
 			}
 		}
 		// Phone home: the collection request the filter lists catch.
-		pixel := urlx.MustParse(t.PixelURL())
-		pixel = urlx.WithParam(pixel, "dl", env.PageURL().Host)
+		page := env.PageURL()
+		var buf [6]string
+		kv := append(buf[:0], "dl", page.Host)
 		if t.ReadsSmuggledUIDs {
 			// Forward smuggled click IDs so the tracker can join the
 			// destination visit to the click (§4.3: "redirectors can
 			// aggregate users' activity on ads destination websites").
 			for _, param := range []string{"gclid", "msclkid"} {
-				if v, ok := urlx.Param(env.PageURL(), param); ok {
-					pixel = urlx.WithParam(pixel, param, v)
+				if v, ok := urlx.Param(page, param); ok {
+					kv = append(kv, param, v)
 				}
 			}
 		}
-		env.Fetch(http.MethodGet, pixel, netsim.TypeImage, "")
+		env.Fetch(http.MethodGet, urlx.Decorate(t.PixelURL(), kv...), netsim.TypeImage, "")
 	})
 }
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"time"
 
 	"searchads/internal/detrand"
@@ -122,8 +121,8 @@ type Hop struct {
 
 // NavResult is the outcome of a top-level navigation.
 type NavResult struct {
-	// FinalURL is the settled document URL.
-	FinalURL *url.URL
+	// FinalURL is the settled document URL (zero if none settled).
+	FinalURL urlx.URL
 	// Page is the settled document.
 	Page *netsim.Page
 	// Hops is the navigation chain, including the initial request and
@@ -168,7 +167,7 @@ type Browser struct {
 	crawlerLog   []*netsim.Request
 	extensionLog []*netsim.Request
 
-	currentURL *url.URL
+	currentURL urlx.URL
 	page       *netsim.Page
 	firstParty string
 	// docReferrer is the settled document's document.referrer value.
@@ -231,10 +230,6 @@ func (b *Browser) CrawlerRequests() []*netsim.Request { return b.crawlerLog }
 // ExtensionRequests returns the extension-side request log (always
 // complete).
 func (b *Browser) ExtensionRequests() []*netsim.Request { return b.extensionLog }
-
-// CurrentURL returns the settled top-level document URL (nil before any
-// navigation).
-func (b *Browser) CurrentURL() *url.URL { return b.currentURL }
 
 // Page returns the settled top-level document (nil before navigation).
 func (b *Browser) Page() *netsim.Page { return b.page }
@@ -312,19 +307,30 @@ func (b *Browser) observeNavigation() func() {
 	}
 }
 
+// navigate starts a navigation to a raw URL: an absolute one as parsed,
+// a relative one resolved against the current document.
 func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, error) {
+	if b.opts.MaxRedirects <= 0 {
+		return &NavResult{}, fmt.Errorf("%w: %d hops reaching %s", ErrTooManyRedirects, 0, rawURL)
+	}
+	u, err := urlx.Parse(rawURL)
+	if err == nil && u.Scheme == "" && !b.currentURL.IsZero() {
+		u, err = urlx.Resolve(b.currentURL, rawURL)
+	}
+	if err != nil {
+		return &NavResult{}, fmt.Errorf("browser: bad navigation URL %q: %w", rawURL, err)
+	}
+	return b.follow(u, mechanism, referrer)
+}
+
+// follow navigates to u and chases its redirects until the document
+// settles. Each hop's URL is built once: a 30x Location resolves
+// straight into the next hop's request URL.
+func (b *Browser) follow(u urlx.URL, mechanism, referrer string) (*NavResult, error) {
 	res := &NavResult{}
-	next := rawURL
 	for hop := 0; ; hop++ {
 		if hop >= b.opts.MaxRedirects {
-			return res, fmt.Errorf("%w: %d hops reaching %s", ErrTooManyRedirects, hop, next)
-		}
-		u, err := url.Parse(next)
-		if err != nil {
-			return res, fmt.Errorf("browser: bad navigation URL %q: %w", next, err)
-		}
-		if b.currentURL != nil && !u.IsAbs() {
-			u = b.currentURL.ResolveReference(u)
+			return res, fmt.Errorf("%w: %d hops reaching %s", ErrTooManyRedirects, hop, u)
 		}
 		site := urlx.RegistrableDomain(u.Host)
 		req := &netsim.Request{
@@ -354,11 +360,10 @@ func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, erro
 		if loc, ok := resp.Location(); ok && resp.IsRedirect() {
 			h.Location = loc
 			res.Hops = append(res.Hops, h)
-			resolved, err := urlx.Resolve(u, loc)
+			u, err = urlx.Resolve(u, loc)
 			if err != nil {
 				return res, err
 			}
-			next = resolved.String()
 			mechanism = "http"
 			continue
 		}
@@ -396,7 +401,7 @@ func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, erro
 // loadPage fetches the page's subresources and frames and runs scripts.
 // It returns a pending redirect target ("" if none): meta refresh takes
 // effect after load; scripts may also call Redirect.
-func (b *Browser) loadPage(p *netsim.Page, pageURL *url.URL, firstParty string) string {
+func (b *Browser) loadPage(p *netsim.Page, pageURL urlx.URL, firstParty string) string {
 	b.pendingRedirect = ""
 	b.fetchResources(p, pageURL, firstParty)
 	for _, frameRef := range p.Frames {
@@ -414,7 +419,7 @@ func (b *Browser) loadPage(p *netsim.Page, pageURL *url.URL, firstParty string) 
 	return ""
 }
 
-func (b *Browser) fetchResources(p *netsim.Page, pageURL *url.URL, firstParty string) {
+func (b *Browser) fetchResources(p *netsim.Page, pageURL urlx.URL, firstParty string) {
 	for _, ref := range p.Resources {
 		u, err := urlx.Resolve(pageURL, ref.URL)
 		if err != nil {
@@ -433,7 +438,7 @@ func (b *Browser) fetchResources(p *netsim.Page, pageURL *url.URL, firstParty st
 			continue // missing resources don't fail page loads
 		}
 		if resp.Script != nil {
-			env := &scriptEnv{b: b, page: p, pageURL: pageURL, firstParty: firstParty, src: u}
+			env := &scriptEnv{b: b, page: p, pageURL: pageURL, firstParty: firstParty, srcHost: u.Host}
 			resp.Script.Run(env)
 		}
 	}
@@ -442,7 +447,7 @@ func (b *Browser) fetchResources(p *netsim.Page, pageURL *url.URL, firstParty st
 // loadFrame loads an iframe document: its ads become scrapeable alongside
 // the parent ("ads are either part of the main page or are loaded through
 // an iframe", §3.1).
-func (b *Browser) loadFrame(frameRef string, pageURL *url.URL, firstParty string, parent *netsim.Page) {
+func (b *Browser) loadFrame(frameRef string, pageURL urlx.URL, firstParty string, parent *netsim.Page) {
 	u, err := urlx.Resolve(pageURL, frameRef)
 	if err != nil {
 		return
@@ -471,7 +476,7 @@ func (b *Browser) Click(el *netsim.Element) (*NavResult, error) {
 	if el == nil {
 		return nil, errors.New("browser: click on nil element")
 	}
-	if b.currentURL == nil {
+	if b.currentURL.IsZero() {
 		return nil, errors.New("browser: click before any navigation")
 	}
 	// onclick beacons fire on the originating page, before navigation
@@ -493,7 +498,7 @@ func (b *Browser) Click(el *netsim.Element) (*NavResult, error) {
 	}
 	b.pace()
 	defer b.observeNavigation()()
-	return b.navigate(u.String(), "initial", b.currentURL.String())
+	return b.follow(u, "initial", b.currentURL.String())
 }
 
 func (b *Browser) fireBeacon(beacon netsim.Beacon) {

@@ -3,7 +3,6 @@ package browser
 import (
 	"errors"
 	"net/http"
-	"net/url"
 	"strings"
 	"testing"
 
@@ -49,11 +48,11 @@ func buildWorld(t *testing.T) *netsim.Network {
 				env.LocalStorageSet("t_ls", "ls01")
 				pixel := urlx.MustParse("https://tracker.com/px?page=" + env.PageURL().Host)
 				env.Fetch(http.MethodGet, pixel, netsim.TypeImage, "")
-				env.DecorateLinks(func(href *url.URL) *url.URL {
+				env.DecorateLinks(func(href urlx.URL) urlx.URL {
 					if href.Host != "r.com" {
-						return nil
+						return urlx.URL{}
 					}
-					return urlx.WithParam(href, "uid", "SmuggledUid12345")
+					return urlx.Decorate(href, "uid", "SmuggledUid12345")
 				})
 			})
 		}

@@ -131,13 +131,13 @@ func (b *Browser) sendDocument(req *netsim.Request) (*netsim.Response, int, erro
 				continue
 			}
 			if err == nil {
-				err = &FaultResponseError{Class: cls, Status: resp.Status, URL: req.URLString()}
+				err = &FaultResponseError{Class: cls, Status: resp.Status, URL: req.URL.String()}
 			}
 			return resp, retries, err
 		}
 		if !Retryable(cls) || retries+1 >= pol.MaxAttempts {
 			if err == nil {
-				err = &FaultResponseError{Class: cls, Status: resp.Status, URL: req.URLString()}
+				err = &FaultResponseError{Class: cls, Status: resp.Status, URL: req.URL.String()}
 			}
 			return resp, retries, err
 		}

@@ -2,10 +2,10 @@ package browser
 
 import (
 	"net/http"
-	"net/url"
 	"time"
 
 	"searchads/internal/netsim"
+	"searchads/internal/urlx"
 )
 
 // scriptEnv implements netsim.ScriptEnv for scripts executing in a page.
@@ -15,19 +15,19 @@ import (
 type scriptEnv struct {
 	b          *Browser
 	page       *netsim.Page
-	pageURL    *url.URL
+	pageURL    urlx.URL
 	firstParty string
-	src        *url.URL
+	// srcHost is the host the running script was served from.
+	srcHost string
 }
 
 var _ netsim.ScriptEnv = (*scriptEnv)(nil)
 
-func (e *scriptEnv) PageURL() *url.URL   { return e.pageURL }
-func (e *scriptEnv) FirstParty() string  { return e.firstParty }
-func (e *scriptEnv) ScriptSrc() *url.URL { return e.src }
-func (e *scriptEnv) Referrer() string    { return e.b.docReferrer }
-func (e *scriptEnv) Now() time.Time      { return e.b.clock.Now() }
-func (e *scriptEnv) Client() string      { return e.b.opts.Client }
+func (e *scriptEnv) PageURL() urlx.URL  { return e.pageURL }
+func (e *scriptEnv) FirstParty() string { return e.firstParty }
+func (e *scriptEnv) Referrer() string   { return e.b.docReferrer }
+func (e *scriptEnv) Now() time.Time     { return e.b.clock.Now() }
+func (e *scriptEnv) Client() string     { return e.b.opts.Client }
 
 // SetDocumentCookie writes a cookie through document.cookie: the cookie
 // belongs to the page's origin, regardless of where the script came from
@@ -61,8 +61,8 @@ func (e *scriptEnv) LocalStorageGet(key string) (string, bool) {
 // Fetch issues a network request on behalf of the script. Response
 // cookies are processed under the current first party, i.e. as
 // third-party cookies when the script's server is cross-site.
-func (e *scriptEnv) Fetch(method string, u *url.URL, typ netsim.ResourceType, body string) {
-	if u == nil {
+func (e *scriptEnv) Fetch(method string, u urlx.URL, typ netsim.ResourceType, body string) {
+	if u.IsZero() {
 		return
 	}
 	if method == "" {
@@ -76,15 +76,16 @@ func (e *scriptEnv) Fetch(method string, u *url.URL, typ netsim.ResourceType, bo
 		URL:        u,
 		Type:       typ,
 		FirstParty: e.firstParty,
-		Initiator:  "script:" + e.src.Host,
+		Initiator:  "script:" + e.srcHost,
 		Body:       body,
 	}
 	e.b.send(req, false)
 }
 
 // DecorateLinks rewrites anchor hrefs through fn — the URL-decoration
-// primitive of UID smuggling (§2.2.2).
-func (e *scriptEnv) DecorateLinks(fn func(href *url.URL) *url.URL) {
+// primitive of UID smuggling (§2.2.2). Each href is resolved against
+// the page URL first.
+func (e *scriptEnv) DecorateLinks(fn func(href urlx.URL) urlx.URL) {
 	if e.page == nil || e.page.Root == nil || fn == nil {
 		return
 	}
@@ -96,14 +97,11 @@ func (e *scriptEnv) DecorateLinks(fn func(href *url.URL) *url.URL) {
 		if raw == "" {
 			return true
 		}
-		u, err := url.Parse(raw)
+		u, err := urlx.Resolve(e.pageURL, raw)
 		if err != nil {
 			return true
 		}
-		if !u.IsAbs() {
-			u = e.pageURL.ResolveReference(u)
-		}
-		if replacement := fn(u); replacement != nil {
+		if replacement := fn(u); !replacement.IsZero() {
 			el.SetAttr("href", replacement.String())
 		}
 		return true

@@ -36,8 +36,8 @@ type Config struct {
 	// Iterations caps iterations per engine; 0 = one per query.
 	Iterations int
 	// StorageMode is the browser's cookie model. The paper crawls with
-	// Chrome's default (flat); Partitioned supports the ablation of
-	// DESIGN.md §4.
+	// Chrome's default (flat); Partitioned supports the paper's §2.2.1
+	// storage-partitioning ablation.
 	StorageMode storage.Mode
 	// CaptureProb is the crawler-side recorder's capture probability
 	// (the paper measured a 97% median against the extension recorder).
@@ -578,6 +578,10 @@ func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(chai
 	}
 }
 
+// revisitBase anchors the next-day revisit's resolution of the settled
+// destination URL.
+var revisitBase = urlx.MustParse("https://x.example/")
+
 // runIteration performs one full crawl iteration in a fresh browser
 // instance.
 func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, visited map[string]bool) *Iteration {
@@ -679,9 +683,7 @@ func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, vis
 		return it
 	}
 	it.Hops = hopRecords(res.Hops)
-	if res.FinalURL != nil {
-		it.FinalURL = res.FinalURL.String()
-	}
+	it.FinalURL = res.FinalURL.String()
 	it.FinalReferrer = b.DocumentReferrer()
 
 	// Stage 3 — after the click: 15 seconds on the destination. The
@@ -689,10 +691,7 @@ func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, vis
 	// destination page's own subresource traffic; requests made on
 	// behalf of the destination site belong to the "after" stage.
 	b.Dwell()
-	destSite := ""
-	if res.FinalURL != nil {
-		destSite = urlx.RegistrableDomain(res.FinalURL.Host)
-	}
+	destSite := urlx.RegistrableDomain(res.FinalURL.Host)
 	clickReqs, destReqs := splitClickRequests(b.CrawlerRequests()[clickStart:], destSite)
 	it.ClickRequests = recordRequests(clickReqs)
 	it.DestRequests = recordRequests(destReqs)
@@ -710,7 +709,7 @@ func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, vis
 		b.Clock().Advance(24 * time.Hour)
 		b.Navigate(engine.SearchURL(query))
 		if it.FinalURL != "" {
-			if u, err := urlx.Resolve(urlx.MustParse("https://x.example/"), it.FinalURL); err == nil {
+			if u, err := urlx.Resolve(revisitBase, it.FinalURL); err == nil {
 				b.Navigate(u.String())
 			}
 		}
@@ -795,7 +794,7 @@ func recordRequests(reqs []*netsim.Request) []RequestRecord {
 	out := make([]RequestRecord, 0, len(reqs))
 	for _, r := range reqs {
 		rec := RequestRecord{
-			URL:        r.URLString(),
+			URL:        r.URL.String(),
 			Method:     r.Method,
 			Type:       string(r.Type),
 			FirstParty: r.FirstParty,

@@ -223,7 +223,7 @@ type RequestInfo struct {
 // InfoFor builds a RequestInfo from a simulated request.
 func InfoFor(req *netsim.Request) RequestInfo {
 	return RequestInfo{
-		URL:        req.URLString(),
+		URL:        req.URL.String(),
 		Type:       req.Type,
 		FirstParty: req.FirstParty,
 		ThirdParty: req.IsThirdParty(),

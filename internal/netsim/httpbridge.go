@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"searchads/internal/urlx"
 )
 
 // HTTPBridge adapts a virtual Network to net/http so the simulated web can
@@ -20,17 +22,18 @@ type HTTPBridge struct {
 // into a virtual one, routing it by Host, and writing the virtual response
 // back out.
 func (b *HTTPBridge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	u := *r.URL
+	if u.Host == "" {
+		u.Host = r.Host
+	}
+	if u.Scheme == "" {
+		u.Scheme = "http"
+	}
 	vreq := &Request{
 		Method: r.Method,
-		URL:    r.URL,
+		URL:    urlx.FromURL(&u),
 		Header: r.Header.Clone(),
 		Type:   TypeDocument,
-	}
-	if vreq.URL.Host == "" {
-		vreq.URL.Host = r.Host
-	}
-	if vreq.URL.Scheme == "" {
-		vreq.URL.Scheme = "http"
 	}
 	for _, hc := range r.Cookies() {
 		vreq.Cookies = append(vreq.Cookies, NewCookie(hc.Name, hc.Value))

@@ -3,7 +3,7 @@
 // requests to simulated origin servers, a virtual clock, and a wire log.
 //
 // The paper crawled the live web; this package is the offline substitute
-// (see DESIGN.md §1). Every simulated origin — search engines, ad-tech
+// (see the README's "Simulated web" section). Every simulated origin — search engines, ad-tech
 // redirectors, advertiser sites — is a Handler registered on a Network.
 // The browser (package browser) issues Requests through Network.RoundTrip
 // exactly the way Chromium issues them through the real network stack, and
@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,7 +100,13 @@ func (t ResourceType) Bit() uint16 {
 // Request is a browser-originated HTTP request.
 type Request struct {
 	Method string
-	URL    *url.URL
+	// URL is the request URL in its one request-path form: the
+	// canonical string (what (*url.URL).String returns) with its scheme,
+	// host, decoded path and raw query split once, when the URL was
+	// built. Handlers read URL.Host, URL.Path and URL.RawQuery;
+	// recorders, the filter engine and the dataset writer read
+	// URL.String(), which costs nothing.
+	URL    urlx.URL
 	Header http.Header
 	// Cookies carries the cookies the browser attached for this request's
 	// host, after partitioning rules were applied.
@@ -127,8 +132,6 @@ type Request struct {
 	// not touch the network's shared clock; a zero Time is stamped from
 	// the network clock, which then advances by the per-exchange latency.
 	Time time.Time
-	// urlStr caches URL.String(); see URLString.
-	urlStr string
 	// Client labels the logical browser profile the request belongs to
 	// (the crawler uses its iteration instance, e.g. "bing-0042").
 	// Simulated origin servers key their identifier-minting streams by
@@ -138,17 +141,6 @@ type Request struct {
 	// for ad-hoc requests (tests, the HTTP bridge); those fall back to a
 	// shared "" stream, which is still deterministic in request order.
 	Client string
-}
-
-// URLString returns URL.String(), computed once and cached. Recorders,
-// the filter engine, and the dataset writer all need the textual URL;
-// re-rendering a deeply nested redirect-chain URL each time dominated
-// the old recording path.
-func (r *Request) URLString() string {
-	if r.urlStr == "" && r.URL != nil {
-		r.urlStr = r.URL.String()
-	}
-	return r.urlStr
 }
 
 // IsThirdParty reports whether the request crosses the first-party site
@@ -404,10 +396,10 @@ func (n *Network) RoundTrip(req *Request) (*Response, error) {
 }
 
 func (n *Network) roundTrip(req *Request) (*Response, error) {
-	if req.URL == nil {
+	if req.URL.IsZero() {
 		return nil, errors.New("netsim: request has no URL")
 	}
-	if !urlx.IsHTTP(req.URL) {
+	if req.URL.Scheme != "http" && req.URL.Scheme != "https" {
 		return nil, fmt.Errorf("netsim: unsupported scheme %q", req.URL.Scheme)
 	}
 	handler, ok := n.Lookup(req.URL.Host)

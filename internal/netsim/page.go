@@ -1,9 +1,10 @@
 package netsim
 
 import (
-	"net/url"
 	"strings"
 	"time"
+
+	"searchads/internal/urlx"
 )
 
 // Page is the parsed-document model delivered by HTML responses. The
@@ -182,11 +183,9 @@ func (f ScriptFunc) Run(env ScriptEnv) { f(env) }
 // ScriptEnv is the browser-provided execution environment for scripts.
 type ScriptEnv interface {
 	// PageURL is the URL of the including document.
-	PageURL() *url.URL
+	PageURL() urlx.URL
 	// FirstParty is the top-level site (eTLD+1) of the tab.
 	FirstParty() string
-	// ScriptSrc is the URL the running script was served from.
-	ScriptSrc() *url.URL
 	// Referrer is the including document's document.referrer value.
 	Referrer() string
 	// Now is the current virtual time (the browser profile's clock).
@@ -208,14 +207,14 @@ type ScriptEnv interface {
 	// Fetch issues a network request from the script (an XHR, pixel, or
 	// beacon). The response's Set-Cookie headers are processed as
 	// third-party cookies under the jar's policy.
-	Fetch(method string, u *url.URL, typ ResourceType, body string)
+	Fetch(method string, u urlx.URL, typ ResourceType, body string)
 
 	// DecorateLinks rewrites every anchor href in the document through
 	// fn, the mechanism behind UID smuggling by on-page scripts ("the
 	// originator page itself or a tracker on the page—through a
 	// script—decorates the URL", §2.2.2). fn returns the replacement
-	// href, or nil to leave the link unchanged.
-	DecorateLinks(fn func(href *url.URL) *url.URL)
+	// href, or the zero URL to leave the link unchanged.
+	DecorateLinks(fn func(href urlx.URL) urlx.URL)
 
 	// Redirect schedules a JS navigation of the top-level document.
 	Redirect(to string)

@@ -14,7 +14,6 @@ package storage
 
 import (
 	"cmp"
-	"net/url"
 	"slices"
 	"strings"
 	"time"
@@ -95,14 +94,15 @@ func (j *Jar) partitionFor(firstParty string, chips bool) string {
 }
 
 // SetCookies stores the response cookies under the rules of RFC 6265 plus
-// the jar's partitioning model. requestURL is the URL the Set-Cookie came
-// from; firstParty is the top-level site of the tab at that moment; now is
-// the virtual time.
+// the jar's partitioning model. u is the URL the Set-Cookie came from, in
+// the request path's one URL form (its Host is read as split, no parse);
+// firstParty is the top-level site of the tab at that moment; now is the
+// virtual time. A zero u stores nothing.
 //
 // Invalid cookies (domain attribute not covering the request host, or a
 // bare public suffix) are dropped, as real browsers drop them.
-func (j *Jar) SetCookies(now time.Time, u *url.URL, firstParty string, cookies []*netsim.Cookie) {
-	if u == nil {
+func (j *Jar) SetCookies(now time.Time, u urlx.URL, firstParty string, cookies []*netsim.Cookie) {
+	if u.IsZero() {
 		return
 	}
 	host := strings.ToLower(urlx.Hostname(u.Host))
@@ -169,11 +169,13 @@ func pathMatch(requestPath, cookiePath string) bool {
 }
 
 // Cookies returns the cookies the browser would attach to a request for
-// requestURL made in a tab whose top-level site is firstParty.
-// topLevelNav marks top-level navigations, which (like real browsers)
-// still send SameSite=Lax cookies cross-site.
-func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
-	if u == nil || len(j.cookies) == 0 {
+// u made in a tab whose top-level site is firstParty. u is the request
+// URL in its one URL form: host, path and scheme are read as split, with
+// no parse. A zero u matches nothing. topLevelNav marks top-level
+// navigations, which (like real browsers) still send SameSite=Lax
+// cookies cross-site.
+func (j *Jar) Cookies(now time.Time, u urlx.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
+	if u.IsZero() || len(j.cookies) == 0 {
 		return nil
 	}
 	host := strings.ToLower(urlx.Hostname(u.Host))

@@ -51,6 +51,9 @@ func TestSplitURLMatchesParse(t *testing.T) {
 		"mailto:user@example.com",     // no authority
 		"https:/a.example/one-slash",
 		"https://a.example:80:81/twice", // two colons
+		"http://a.example/b\x01c",       // control byte in the path (Parse rejects)
+		"http://a.example/p?q=\x7f",     // DEL in the query (Parse rejects)
+		"http://a.example/x#fr%zz",      // invalid escape in the fragment (Parse rejects)
 	}
 	for _, raw := range slow {
 		if host, path, query, ok := SplitURL(raw); ok {
@@ -120,4 +123,36 @@ func TestQueryPairsEarlyStop(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("early stop visited %d pairs, want 1", n)
 	}
+}
+
+// FuzzSplitURL: SplitURL either refuses or agrees with url.Parse on
+// host, decoded path and raw query; it never accepts an input url.Parse
+// rejects.
+func FuzzSplitURL(f *testing.F) {
+	for _, seed := range []string{
+		"https://a.example/path?x=1&y=2",
+		"https://sub.a.example:8080/p/q?next=https%3A%2F%2Fb.example",
+		"HTTPS://UPPER.example/Path?Q=V#frag",
+		"http://a.example/b\x01c",
+		"http://a.example/p?q=\x7f",
+		"http://a.example/x#fr%zz",
+		"https://a.example:/emptyport",
+		"https://a.example/p%2Fq",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		host, path, query, ok := SplitURL(raw)
+		if !ok {
+			return
+		}
+		u, err := url.Parse(raw)
+		if err != nil {
+			t.Fatalf("SplitURL(%q) accepted an input url.Parse rejects: %v", raw, err)
+		}
+		if host != u.Host || path != u.Path || query != u.RawQuery {
+			t.Fatalf("SplitURL(%q) = (%q,%q,%q), url.Parse = (%q,%q,%q)",
+				raw, host, path, query, u.Host, u.Path, u.RawQuery)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 // Package urlx provides URL utilities used throughout the measurement
-// pipeline: registrable-domain (eTLD+1) extraction, origin computation,
-// query-parameter manipulation, and URL decoration helpers.
+// pipeline: URL, the request path's one URL form (canonical string,
+// split once), registrable-domain (eTLD+1) extraction, query-parameter
+// access, and URL decoration helpers.
 //
 // The paper reasons about "sites" at the eTLD+1 granularity (§4.2.2,
 // "Number of sites visited"). Because the module must build offline, the
@@ -155,63 +156,156 @@ func SameSite(a, b string) bool {
 	return RegistrableDomain(a) != "" && RegistrableDomain(a) == RegistrableDomain(b)
 }
 
-// Origin is a (scheme, host) pair identifying a security origin. Ports are
-// not modelled: the simulated web runs everything on the default port.
-type Origin struct {
-	Scheme string
-	Host   string
+// URL is the one URL form of the request path: an immutable value
+// holding a URL's canonical string, exactly what (*url.URL).String
+// returns for it, plus its scheme, host, decoded path and raw query,
+// which equal the url.URL fields of the same names. Each part is split
+// once, when the URL is built by Parse, MustParse, Resolve, FromURL,
+// Decorate or WithParams; a URL is never assembled field by field, so
+// its parts and its string always agree. The zero URL stands for "no
+// URL".
+type URL struct {
+	Scheme   string
+	Host     string
+	Path     string
+	RawQuery string
+	s        string
 }
 
-// OriginOf extracts the origin of a parsed URL.
-func OriginOf(u *url.URL) Origin {
-	return Origin{Scheme: u.Scheme, Host: strings.ToLower(u.Host)}
+// String returns the canonical string.
+func (u URL) String() string { return u.s }
+
+// IsZero reports whether u is the zero URL.
+func (u URL) IsZero() bool { return u.s == "" }
+
+// FromURL returns the URL form of a parsed *url.URL.
+func FromURL(u *url.URL) URL {
+	return URL{Scheme: u.Scheme, Host: u.Host, Path: u.Path, RawQuery: u.RawQuery, s: u.String()}
 }
 
-// String renders the origin in scheme://host form.
-func (o Origin) String() string { return o.Scheme + "://" + o.Host }
+// canonical splits raw without parsing or allocating when raw is
+// already canonical: url.Parse(raw).String() == raw, and a reference
+// that ResolveReference returns unchanged whatever the base. That holds
+// when the scheme is a lowercase http or https, the host is non-empty
+// and uses only the plain host alphabet, every path byte is one
+// EscapedPath keeps, the path has no dot segment, there is no fragment,
+// and the query has no control byte. Every URL the simulated web mints
+// has this shape; ok is false for any other.
+func canonical(raw string) (URL, bool) {
+	p, ok := split(raw)
+	if !ok || p.hasFragment || p.host == "" || p.scheme != "http" && p.scheme != "https" {
+		return URL{}, false
+	}
+	for i := 0; i < len(p.path); i++ {
+		if !pathByteKept(p.path[i]) {
+			return URL{}, false
+		}
+	}
+	// "/." catches every dot-segment shape — "/./", "/../", and paths
+	// ending in "/." or "/.." — at the cost of also sending rare
+	// "/.hidden" paths down the (correct, slower) fallback.
+	if strings.Contains(p.path, "/.") {
+		return URL{}, false
+	}
+	return URL{Scheme: p.scheme, Host: p.host, Path: p.path, RawQuery: p.query, s: raw}, true
+}
 
-// Site returns the origin's eTLD+1.
-func (o Origin) Site() string { return RegistrableDomain(o.Host) }
+// pathByteKept reports whether EscapedPath writes b as is: the
+// unreserved bytes and the reserved ones a path may hold unescaped.
+func pathByteKept(b byte) bool {
+	switch {
+	case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9':
+		return true
+	}
+	switch b {
+	case '-', '_', '.', '~', '$', '&', '+', ',', '/', ':', ';', '=', '@':
+		return true
+	}
+	return false
+}
+
+// Parse parses raw into its URL form: a canonical raw string is split
+// in place, anything else goes through url.Parse and String. The error
+// is url.Parse's, unwrapped.
+func Parse(raw string) (URL, error) {
+	if u, ok := canonical(raw); ok {
+		return u, nil
+	}
+	u, err := url.Parse(raw)
+	if err != nil {
+		return URL{}, err
+	}
+	return FromURL(u), nil
+}
 
 // MustParse parses a raw URL and panics on failure. It is intended for
 // compile-time-constant URLs inside the simulator.
-func MustParse(raw string) *url.URL {
-	u, err := url.Parse(raw)
+func MustParse(raw string) URL {
+	u, err := Parse(raw)
 	if err != nil {
 		panic(fmt.Sprintf("urlx: bad constant URL %q: %v", raw, err))
 	}
 	return u
 }
 
-// WithParam returns a copy of u with the query parameter key set to value.
-// The original URL is not modified. When the key is not already present
-// the pair is appended to the raw query without re-encoding it (the
-// request hot path decorates URLs with fresh tracking parameters far more
-// often than it overwrites existing ones).
-func WithParam(u *url.URL, key, value string) *url.URL {
-	cp := *u
-	if _, present := Param(u, key); !present {
-		var b strings.Builder
-		b.Grow(len(cp.RawQuery) + 1 + len(key) + 1 + len(value))
-		b.WriteString(cp.RawQuery)
-		if cp.RawQuery != "" {
-			b.WriteByte('&')
-		}
-		appendQueryEscape(&b, key)
-		b.WriteByte('=')
-		appendQueryEscape(&b, value)
-		cp.RawQuery = b.String()
-		return &cp
+// Resolve resolves ref against base, mirroring browser link resolution:
+// the result is what url.Parse, ResolveReference and String give. A
+// canonical reference — every URL the simulated web mints — is
+// returned as is, with no parse and no allocation; any other goes
+// through net/url.
+func Resolve(base URL, ref string) (URL, error) {
+	if u, ok := canonical(ref); ok {
+		return u, nil
 	}
-	q := cp.Query()
-	q.Set(key, value)
-	cp.RawQuery = q.Encode()
-	return &cp
+	r, err := url.Parse(ref)
+	if err != nil {
+		return URL{}, fmt.Errorf("urlx: resolve %q: %w", ref, err)
+	}
+	b, err := url.Parse(base.s)
+	if err != nil {
+		return URL{}, fmt.Errorf("urlx: resolve against %q: %w", base.s, err)
+	}
+	return FromURL(b.ResolveReference(r)), nil
 }
 
-// WithParams returns a copy of u with every key/value pair of params set
-// (in sorted key order, so the result is deterministic).
-func WithParams(u *url.URL, params map[string]string) *url.URL {
+// cut splits u's canonical string around its query: head is everything
+// before the '?', tail the '#' fragment, if any. hasQuery reports a '?'
+// (a ForceQuery URL has one with an empty RawQuery). No other part of
+// a canonical string holds an unescaped '#', nor a '?' before it.
+func (u URL) cut() (head string, hasQuery bool, tail string) {
+	head = u.s
+	if i := strings.IndexByte(head, '#'); i >= 0 {
+		head, tail = head[:i], head[i:]
+	}
+	if i := strings.IndexByte(head, '?'); i >= 0 {
+		return head[:i], true, tail
+	}
+	return head, false, tail
+}
+
+// withQuery returns u with its raw query replaced by q, as setting
+// RawQuery on the url.URL and calling String would.
+func (u URL) withQuery(q string) URL {
+	head, hasQuery, tail := u.cut()
+	forceQuery := hasQuery && u.RawQuery == ""
+	var b strings.Builder
+	b.Grow(len(head) + 1 + len(q) + len(tail))
+	b.WriteString(head)
+	qStart := b.Len()
+	if q != "" || forceQuery {
+		b.WriteByte('?')
+		qStart++
+		b.WriteString(q)
+	}
+	qEnd := b.Len()
+	b.WriteString(tail)
+	s := b.String()
+	return URL{Scheme: u.Scheme, Host: u.Host, Path: u.Path, RawQuery: s[qStart:qEnd], s: s}
+}
+
+// WithParams returns u with every key/value pair of params set (in
+// sorted key order, so the result is deterministic).
+func WithParams(u URL, params map[string]string) URL {
 	keys := make([]string, 0, len(params))
 	for k := range params {
 		keys = append(keys, k)
@@ -221,54 +315,65 @@ func WithParams(u *url.URL, params map[string]string) *url.URL {
 	for _, k := range keys {
 		kv = append(kv, k, params[k])
 	}
-	cp := *u
-	cp.RawQuery = setParams(u, kv)
-	return &cp
+	return Decorate(u, kv...)
 }
 
-// Decorate returns the string form of u with the query parameters kv
-// (key1, value1, key2, value2, ...) set in order: byte-identical to
-// folding WithParam over the pairs and calling String on the result,
-// without a URL copy per pair. It panics on an odd number of pairs.
-func Decorate(u *url.URL, kv ...string) string {
-	cp := *u
-	cp.RawQuery = setParams(u, kv)
-	return cp.String()
-}
-
-// setParams returns u's raw query with the pairs kv set in order, as
-// folding WithParam over them would. When no key is already present —
-// in u's query or earlier in kv — every pair takes WithParam's append
-// path, so the escaped pairs are appended in one pass; otherwise the
-// replace-if-present fold runs as written.
-func setParams(u *url.URL, kv []string) string {
+// Decorate returns u with the query parameters kv (key1, value1, key2,
+// value2, ...) set in order. A key not yet in the query is appended
+// without re-encoding the query; a key already there is replaced, and
+// the query re-encoded, as url.Values.Set and Encode would. When every
+// key is fresh — in u's query and earlier in kv — the result is built
+// in one pass. It panics on an odd number of pairs.
+func Decorate(u URL, kv ...string) URL {
 	if len(kv)%2 != 0 {
 		panic("urlx: parameter pairs must be even")
 	}
 	if len(kv) == 0 {
-		return u.RawQuery
+		return u
 	}
-	n := len(u.RawQuery)
+	n := 0
 	for i := 0; i < len(kv); i += 2 {
-		if _, present := Param(u, kv[i]); present || keyIn(kv[:i], kv[i]) {
-			cp := u
+		if _, present := queryParam(u.RawQuery, kv[i]); present || keyIn(kv[:i], kv[i]) {
+			q := u.RawQuery
 			for j := 0; j < len(kv); j += 2 {
-				cp = WithParam(cp, kv[j], kv[j+1])
+				q = setParam(q, kv[j], kv[j+1])
 			}
-			return cp.RawQuery
+			return u.withQuery(q)
 		}
 		n += 1 + QueryEscapeLen(kv[i]) + 1 + QueryEscapeLen(kv[i+1])
 	}
+	head, _, tail := u.cut()
 	var b strings.Builder
-	b.Grow(n)
+	b.Grow(len(u.s) + 1 + n)
+	b.WriteString(head)
+	b.WriteByte('?')
+	qStart := b.Len()
 	b.WriteString(u.RawQuery)
 	for i := 0; i < len(kv); i += 2 {
-		if b.Len() > 0 {
+		if b.Len() > qStart {
 			b.WriteByte('&')
 		}
 		AppendQuery(&b, kv[i], kv[i+1])
 	}
-	return b.String()
+	qEnd := b.Len()
+	b.WriteString(tail)
+	s := b.String()
+	return URL{Scheme: u.Scheme, Host: u.Host, Path: u.Path, RawQuery: s[qStart:qEnd], s: s}
+}
+
+// setParam returns the raw query q with key set to value: appended,
+// escaped, when the key is absent; otherwise every value of the key is
+// replaced and the query re-encoded.
+func setParam(q, key, value string) string {
+	if _, present := queryParam(q, key); !present {
+		if q == "" {
+			return EncodeQuery(key, value)
+		}
+		return q + "&" + EncodeQuery(key, value)
+	}
+	vals, _ := url.ParseQuery(q) // the valid pairs survive an error
+	vals.Set(key, value)
+	return vals.Encode()
 }
 
 // keyIn reports whether key is one of the keys of the pairs kv.
@@ -286,8 +391,10 @@ func keyIn(kv []string, key string) bool {
 // url.Values map — this sits on the simulated-server hot path (every
 // bounce reads its next-hop parameter, every SERP its query) — and
 // allocates only when the matched value is actually escaped.
-func Param(u *url.URL, key string) (string, bool) {
-	q := u.RawQuery
+func Param(u URL, key string) (string, bool) { return queryParam(u.RawQuery, key) }
+
+// queryParam is Param over a raw query string.
+func queryParam(q, key string) (string, bool) {
 	for q != "" {
 		var pair string
 		if i := strings.IndexByte(q, '&'); i >= 0 {
@@ -465,25 +572,30 @@ func splitHostByte(b byte) bool {
 	return false
 }
 
-// SplitURL splits an absolute URL into host, path, and raw query
-// without allocating, for the shape the overwhelming majority of
-// recorded request URLs take: "scheme://host[:port]/path[?query]" with
-// a plain hostname and no %-escapes in the path. ok reports whether the
-// fast split is faithful to url.Parse (host matching u.Host, path
-// matching the decoded u.Path, query matching u.RawQuery); when it is
-// false the caller must fall back to url.Parse.
-func SplitURL(raw string) (host, path, query string, ok bool) {
+// parts is a URL split in place by split.
+type parts struct {
+	scheme, host, path, query, fragment string
+	hasFragment                         bool
+}
+
+// split splits raw into scheme, host, path, raw query and fragment
+// without allocating, for the shape nearly every URL of a crawl takes:
+// "scheme://host[:port][/path][?query][#fragment]" with a plain
+// hostname and no %-escape in the path. ok is false for any other
+// shape, and for a control byte anywhere (url.Parse rejects those).
+func split(raw string) (p parts, ok bool) {
 	// Validate the scheme ([a-zA-Z][a-zA-Z0-9+.-]*://), like url.Parse.
 	if len(raw) == 0 || !isSchemeAlpha(raw[0]) {
-		return "", "", "", false
+		return p, false
 	}
 	i := 1
 	for i < len(raw) && isSchemeTail(raw[i]) {
 		i++
 	}
 	if i+3 > len(raw) || raw[i] != ':' || raw[i+1] != '/' || raw[i+2] != '/' {
-		return "", "", "", false
+		return p, false
 	}
+	p.scheme = raw[:i]
 	i += 3
 	hostStart := i
 	colon := -1
@@ -493,37 +605,69 @@ func SplitURL(raw string) (host, path, query string, ok bool) {
 			break
 		}
 		if !splitHostByte(b) {
-			return "", "", "", false
+			return p, false
 		}
 		if colon >= 0 && (b < '0' || b > '9') {
-			return "", "", "", false // url.Parse rejects non-numeric ports
+			return p, false // url.Parse rejects non-numeric ports
 		}
 		if b == ':' {
 			if colon >= 0 {
-				return "", "", "", false
+				return p, false
 			}
 			colon = i
 		}
 		i++
 	}
-	host = raw[hostStart:i]
+	p.host = raw[hostStart:i]
 	pathStart := i
 	for i < len(raw) && raw[i] != '?' && raw[i] != '#' {
-		if raw[i] == '%' {
-			return "", "", "", false // escaped path: url.Parse would decode
+		if raw[i] == '%' || isCTL(raw[i]) {
+			return p, false // an escaped path decodes; a control byte fails
 		}
 		i++
 	}
-	path = raw[pathStart:i]
+	p.path = raw[pathStart:i]
 	if i < len(raw) && raw[i] == '?' {
 		i++
 		queryStart := i
 		for i < len(raw) && raw[i] != '#' {
+			if isCTL(raw[i]) {
+				return p, false
+			}
 			i++
 		}
-		query = raw[queryStart:i]
+		p.query = raw[queryStart:i]
 	}
-	return host, path, query, true
+	if i < len(raw) {
+		p.hasFragment = true
+		p.fragment = raw[i+1:]
+		for j := 0; j < len(p.fragment); j++ {
+			if isCTL(p.fragment[j]) {
+				return p, false
+			}
+		}
+	}
+	return p, true
+}
+
+// isCTL reports an ASCII control byte, which url.Parse rejects.
+func isCTL(b byte) bool { return b < 0x20 || b == 0x7f }
+
+// SplitURL splits an absolute URL into host, path, and raw query
+// without allocating, for the shape the overwhelming majority of
+// recorded request URLs take: "scheme://host[:port]/path[?query]" with
+// a plain hostname and no %-escapes in the path. ok reports whether the
+// fast split is faithful to url.Parse (host matching u.Host, path
+// matching the decoded u.Path, query matching u.RawQuery); when it is
+// false — including every input url.Parse rejects — the caller must
+// fall back to url.Parse.
+func SplitURL(raw string) (host, path, query string, ok bool) {
+	p, ok := split(raw)
+	if !ok || strings.IndexByte(p.fragment, '%') >= 0 {
+		// url.Parse validates a fragment's escapes; leave that to it.
+		return "", "", "", false
+	}
+	return p.host, p.path, p.query, true
 }
 
 func isSchemeAlpha(b byte) bool {
@@ -532,26 +676,4 @@ func isSchemeAlpha(b byte) bool {
 
 func isSchemeTail(b byte) bool {
 	return isSchemeAlpha(b) || b >= '0' && b <= '9' || b == '+' || b == '-' || b == '.'
-}
-
-// IsHTTP reports whether the URL uses an http(s) scheme.
-func IsHTTP(u *url.URL) bool { return u.Scheme == "http" || u.Scheme == "https" }
-
-// Resolve resolves ref against base, mirroring browser link resolution.
-// Absolute http(s) references without dot segments — the overwhelming
-// majority of simulated-web URLs — skip ResolveReference entirely: it
-// would only clone the URL and re-normalise a path that has nothing to
-// normalise.
-func Resolve(base *url.URL, ref string) (*url.URL, error) {
-	r, err := url.Parse(ref)
-	if err != nil {
-		return nil, fmt.Errorf("urlx: resolve %q: %w", ref, err)
-	}
-	// "/." catches every dot-segment shape — "/./", "/../", and paths
-	// *ending* in "/." or "/.." — at the cost of also sending rare
-	// "/.hidden" paths down the (correct, slower) slow path.
-	if IsHTTP(r) && r.Host != "" && r.Path != "" && r.Path[0] == '/' && !strings.Contains(r.Path, "/.") {
-		return r, nil
-	}
-	return base.ResolveReference(r), nil
 }

@@ -63,22 +63,34 @@ func TestHostname(t *testing.T) {
 	}
 }
 
-func TestOrigin(t *testing.T) {
-	u := MustParse("https://Ad.DoubleClick.net/ddm/clk?x=1")
-	o := OriginOf(u)
-	if o.String() != "https://ad.doubleclick.net" {
-		t.Errorf("origin = %q", o.String())
+// refWithParam is the url.URL-based single-parameter setter that
+// Decorate and WithParams replaced: append the escaped pair when the key
+// is absent, otherwise Set it and re-encode the query.
+func refWithParam(u *url.URL, key, value string) *url.URL {
+	cp := *u
+	if _, present := cp.Query()[key]; !present {
+		if cp.RawQuery != "" {
+			cp.RawQuery += "&"
+		}
+		cp.RawQuery += url.QueryEscape(key) + "=" + url.QueryEscape(value)
+		return &cp
 	}
-	if o.Site() != "doubleclick.net" {
-		t.Errorf("site = %q", o.Site())
-	}
+	q := cp.Query()
+	q.Set(key, value)
+	cp.RawQuery = q.Encode()
+	return &cp
+}
+
+// withParam sets one parameter through WithParams.
+func withParam(u URL, key, value string) URL {
+	return WithParams(u, map[string]string{key: value})
 }
 
 func TestWithParamDoesNotMutate(t *testing.T) {
 	u := MustParse("https://x.com/path?a=1")
-	v := WithParam(u, "gclid", "abc")
-	if u.RawQuery != "a=1" {
-		t.Fatalf("original mutated: %q", u.RawQuery)
+	v := withParam(u, "gclid", "abc")
+	if u.RawQuery != "a=1" || u.String() != "https://x.com/path?a=1" {
+		t.Fatalf("original mutated: %q", u)
 	}
 	if got, _ := Param(v, "gclid"); got != "abc" {
 		t.Fatalf("param not set: %q", v.RawQuery)
@@ -126,15 +138,6 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("http://%zz")
 }
 
-func TestIsHTTP(t *testing.T) {
-	if !IsHTTP(MustParse("http://a.com")) || !IsHTTP(MustParse("https://a.com")) {
-		t.Fatal("http(s) not recognised")
-	}
-	if IsHTTP(MustParse("ftp://a.com")) {
-		t.Fatal("ftp recognised as http")
-	}
-}
-
 // Property: RegistrableDomain is idempotent and always a suffix of the input.
 func TestRegistrableDomainProperties(t *testing.T) {
 	hosts := []string{
@@ -158,7 +161,7 @@ func TestWithParamQuickProperty(t *testing.T) {
 			return true
 		}
 		u := MustParse("https://site.example/landing")
-		v := WithParam(u, key, value)
+		v := withParam(u, key, value)
 		got, ok := Param(v, key)
 		return ok && got == value
 	}
@@ -187,7 +190,7 @@ func TestParamMatchesNetURL(t *testing.T) {
 	}
 	keys := []string{"q", "pos", "next", "a", "b", "c", "flag", "x", "weird key", "v", "empty", "after", "missing"}
 	for _, raw := range queries {
-		u := &url.URL{Scheme: "https", Host: "h.example", RawQuery: raw}
+		u := FromURL(&url.URL{Scheme: "https", Host: "h.example", RawQuery: raw})
 		want, _ := url.ParseQuery(raw) // ParseQuery keeps valid pairs even on error
 		for _, k := range keys {
 			gotV, gotOK := Param(u, k)
@@ -223,8 +226,8 @@ func TestAppendQueryMatchesQueryEscape(t *testing.T) {
 // keys are replaced, and the decorated value round-trips through Param.
 func TestWithParamAppendSemantics(t *testing.T) {
 	u := MustParse("https://shop.example/landing")
-	u = WithParam(u, "gclid", "Cj0K+QjW/x")
-	u = WithParam(u, "dl", "a b")
+	u = withParam(u, "gclid", "Cj0K+QjW/x")
+	u = withParam(u, "dl", "a b")
 	if got := u.RawQuery; got != "gclid=Cj0K%2BQjW%2Fx&dl=a+b" {
 		t.Fatalf("RawQuery = %q", got)
 	}
@@ -234,16 +237,17 @@ func TestWithParamAppendSemantics(t *testing.T) {
 		}
 	}
 	// Replacement path still works.
-	u = WithParam(u, "gclid", "new")
+	u = withParam(u, "gclid", "new")
 	if got, _ := Param(u, "gclid"); got != "new" {
 		t.Fatalf("replaced gclid = %q", got)
 	}
 }
 
-// TestDecorateMatchesWithParamFold pins Decorate to folding WithParam
-// over the pairs and calling String: the one-pass append when every key
-// is fresh, and the replace-if-present fold when a key is already in the
-// query or repeats within the pairs.
+// TestDecorateMatchesWithParamFold pins Decorate to folding the
+// url.URL-based refWithParam over the pairs and calling String: the
+// one-pass append when every key is fresh, and the replace-if-present
+// fold when a key is already in the query or repeats within the pairs.
+// The decorated URL's parts must be the url.URL's too.
 func TestDecorateMatchesWithParamFold(t *testing.T) {
 	for _, c := range []struct {
 		raw string
@@ -257,14 +261,21 @@ func TestDecorateMatchesWithParamFold(t *testing.T) {
 		{"https://shop.example/land?gclid=old&z=1", []string{"gclid", "new", "msclkid", "m"}}, // present: replace
 		{"https://shop.example/land?b=2", []string{"a", "1", "a", "2"}},                       // repeated within kv
 		{"https://shop.example/land?weird%20key=v", []string{"weird key", "w"}},               // present once unescaped
+		{"https://shop.example/land?", []string{"k", "v"}},                                    // ForceQuery
+		{"https://shop.example/land?#f?g", []string{"k", "v"}},                                // '?' in the fragment
+		{"https://shop.example/land?k=1#f", []string{"k", "2"}},                               // replace keeps the fragment
 	} {
 		u := MustParse(c.raw)
-		want := u
+		want, _ := url.Parse(c.raw)
 		for i := 0; i < len(c.kv); i += 2 {
-			want = WithParam(want, c.kv[i], c.kv[i+1])
+			want = refWithParam(want, c.kv[i], c.kv[i+1])
 		}
-		if got := Decorate(u, c.kv...); got != want.String() {
+		got := Decorate(u, c.kv...)
+		if got.String() != want.String() {
 			t.Errorf("Decorate(%q, %q) = %q, want %q", c.raw, c.kv, got, want.String())
+		}
+		if got != FromURL(want) {
+			t.Errorf("Decorate(%q, %q) parts = %+v, want %+v", c.raw, c.kv, got, FromURL(want))
 		}
 		if u.String() != MustParse(c.raw).String() {
 			t.Errorf("Decorate mutated %q", c.raw)
@@ -276,6 +287,7 @@ func TestDecorateMatchesWithParamFold(t *testing.T) {
 // fast path returns what ResolveReference would have.
 func TestResolveFastPathMatchesResolveReference(t *testing.T) {
 	base := MustParse("https://base.example/dir/page")
+	refBase, _ := url.Parse(base.String())
 	for _, ref := range []string{
 		"https://a.example/landing?gclid=x",
 		"http://b.example/p/q#frag",
@@ -294,9 +306,56 @@ func TestResolveFastPathMatchesResolveReference(t *testing.T) {
 			t.Fatalf("Resolve(%q): %v", ref, err)
 		}
 		r, _ := url.Parse(ref)
-		want := base.ResolveReference(r)
-		if got.String() != want.String() {
-			t.Errorf("Resolve(%q) = %q, ResolveReference says %q", ref, got.String(), want.String())
+		want := refBase.ResolveReference(r)
+		if got != FromURL(want) {
+			t.Errorf("Resolve(%q) = %+v, ResolveReference says %+v", ref, got, FromURL(want))
 		}
 	}
+}
+
+// FuzzResolve holds Parse and Resolve to net/url: Parse(raw) is
+// url.Parse(raw) with String, Resolve(base, ref) is url.Parse(ref)
+// resolved by ResolveReference against url.Parse(base) with String,
+// part for part, and each fails exactly where net/url fails.
+func FuzzResolve(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"https://base.example/dir/page", "https://a.example/landing?gclid=x"},
+		{"https://base.example/dir/page", "/rooted/path?q=1"},
+		{"https://base.example/dir/page", "relative/../path"},
+		{"https://base.example/dir/page?x=1#f", "?q=1"},
+		{"https://base.example/dir/page", "#frag"},
+		{"https://base.example/dir/page", "//other.example/x"},
+		{"https://base.example/dir/page", "https://d.example/a/../b"},
+		{"https://base.example/dir/page", "HTTP://Upper.Example/P%41th?Q=1"},
+		{"https://user:pw@base.example:8080/a%2Fb", "c"},
+		{"http://a.example/b?", "https://c.example/d?"},
+		{"mailto:x@example.com", "https://a.example/"},
+		{"https://base.example/", "http://%zz"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, base, ref string) {
+		b, err := Parse(base)
+		refBase, refErr := url.Parse(base)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Parse(%q) error %v, url.Parse error %v", base, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if b != FromURL(refBase) {
+			t.Fatalf("Parse(%q) = %+v, url.Parse gives %+v", base, b, FromURL(refBase))
+		}
+		got, err := Resolve(b, ref)
+		r, refErr := url.Parse(ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Resolve(%q, %q) error %v, url.Parse error %v", base, ref, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if want := FromURL(refBase.ResolveReference(r)); got != want {
+			t.Fatalf("Resolve(%q, %q) = %+v, ResolveReference gives %+v", base, ref, got, want)
+		}
+	})
 }

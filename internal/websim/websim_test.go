@@ -76,7 +76,7 @@ func TestWorldEndToEndClick(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: click: %v", name, err)
 		}
-		if res.FinalURL == nil || !strings.HasSuffix(urlx.RegistrableDomain(res.FinalURL.Host), ".example") {
+		if res.FinalURL.IsZero() || !strings.HasSuffix(urlx.RegistrableDomain(res.FinalURL.Host), ".example") {
 			t.Fatalf("%s: did not land on an advertiser: %v", name, res.FinalURL)
 		}
 	}

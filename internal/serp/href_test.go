@@ -6,6 +6,7 @@ import (
 
 	"searchads/internal/adtech"
 	"searchads/internal/serp"
+	"searchads/internal/urlx"
 	"searchads/internal/websim"
 )
 
@@ -85,4 +86,79 @@ func TestHrefsMatchURLReference(t *testing.T) {
 	if wrapped == 0 || direct == 0 || stacked == 0 {
 		t.Fatalf("world covers wrapped=%d direct=%d stacked=%d campaigns; want every shape", wrapped, direct, stacked)
 	}
+}
+
+// TestMintedURLsCanonical: every URL a derived world mints is in
+// canonical form — url.Parse and String give it back unchanged — and
+// takes urlx's no-parse fast path, which is the only way resolving it
+// allocates nothing. It covers every engine × campaign: search URLs,
+// decorated landings, ad hrefs and each chain hop inside them, click
+// beacons, and the script, pixel and decorated pixel URLs of the
+// landing site's trackers. A minting change that silently drops the
+// crawl onto the net/url fallback fails here.
+func TestMintedURLsCanonical(t *testing.T) {
+	w := websim.NewWorld(websim.Config{Seed: 7, QueriesPerEngine: 5})
+	var minted []string
+	mint := func(raw string) { minted = append(minted, raw) }
+	for _, name := range serp.AllEngineNames() {
+		e := w.Engine(name)
+		for _, q := range w.Queries[name] {
+			mint(e.SearchURL(q))
+		}
+		for _, c := range e.Pool.Campaigns {
+			client := name + "-0001"
+			click := e.Platform.BuildClick(c, client)
+			mint(click.Landing)
+			href := e.BuildHref(click)
+			for hop := href; ; {
+				mint(hop)
+				next, ok := urlx.Param(urlx.MustParse(hop), adtech.NextParam)
+				if !ok {
+					break
+				}
+				hop = next
+			}
+			for _, b := range e.Beacons(e, "buy shoes", click, 1) {
+				mint(b.URL)
+			}
+			site, ok := w.Sites.Lookup(c.LandingDomain())
+			if !ok {
+				t.Fatalf("%s/%s: no site for %s", name, c.ID, c.LandingDomain())
+			}
+			landing := urlx.MustParse(click.Landing)
+			for _, tr := range site.Trackers {
+				mint(tr.ScriptURL())
+				mint(tr.PixelURL().String())
+				kv := []string{"dl", landing.Host}
+				for _, param := range []string{"gclid", "msclkid"} {
+					if v, ok := urlx.Param(landing, param); ok {
+						kv = append(kv, param, v)
+					}
+				}
+				mint(urlx.Decorate(tr.PixelURL(), kv...).String())
+			}
+		}
+	}
+	for _, raw := range minted {
+		if u, err := url.Parse(raw); err != nil || u.String() != raw {
+			t.Fatalf("minted URL %q does not round-trip through url.Parse and String (%v)", raw, err)
+		}
+	}
+	base := urlx.MustParse("https://base.example/")
+	var got urlx.URL
+	var err error
+	if n := testing.AllocsPerRun(1, func() {
+		for _, raw := range minted {
+			got, err = urlx.Resolve(base, raw)
+		}
+	}); n == 0 {
+		return
+	}
+	for _, raw := range minted {
+		n := testing.AllocsPerRun(1, func() { got, err = urlx.Resolve(base, raw) })
+		if n != 0 || err != nil || got.String() != raw {
+			t.Errorf("minted URL %q left the no-parse fast path (%v allocs, %v)", raw, n, err)
+		}
+	}
+	t.Fatalf("%d minted URLs checked; some left the fast path", len(minted))
 }

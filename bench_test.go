@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). Each bench
-// times the computation that produces the artifact and logs the rows the
-// paper reports; run with -v to see them:
+// evaluation (analysis.PaperExpectations is the experiment index). Each
+// bench times the computation that produces the artifact and logs the
+// rows the paper reports; run with -v to see them:
 //
 //	go test -bench=. -benchmem -v
 package searchads_test
@@ -424,7 +424,7 @@ func BenchmarkSec32_TokenFunnel(b *testing.B) {
 }
 
 // BenchmarkAblation_PartitionedVsFlat compares the two storage models'
-// navigational-tracking outcomes (DESIGN.md §4.2): the numbers must
+// navigational-tracking outcomes (the paper's §2.2.1): the numbers must
 // match, demonstrating that partitioning does not stop bounce tracking.
 func BenchmarkAblation_PartitionedVsFlat(b *testing.B) {
 	b.ResetTimer()
@@ -455,8 +455,9 @@ func BenchmarkAblation_PartitionedVsFlat(b *testing.B) {
 }
 
 // BenchmarkAblation_FilterEngine compares full ABP rule semantics
-// against a naive domain-set matcher (DESIGN.md §4.3): generic path
-// rules catch the long-tail trackers a domain set misses.
+// against a naive domain-set matcher (the paper's §3.2 filter-list
+// classification): generic path rules catch the long-tail trackers a
+// domain set misses.
 func BenchmarkAblation_FilterEngine(b *testing.B) {
 	ds, _ := benchSetup(b)
 	full := filterlist.DefaultEngine()

@@ -9,7 +9,8 @@ import (
 // the accessor that measures the same quantity on a Report. Tolerances
 // are deliberately loose: the substrate is a simulator, and the claim
 // under reproduction is the *shape* (who wins, by roughly what factor),
-// not absolute values (see DESIGN.md §1).
+// not absolute values (see the README: the study runs against a
+// simulated web).
 type Expectation struct {
 	// ID names the table or figure ("Table 6", "Figure 4", ...).
 	ID string
@@ -330,7 +331,7 @@ func RenderExperiments(comps []Comparison) string {
 	b.WriteString("# EXPERIMENTS — paper vs. measured\n\n")
 	b.WriteString("Generated by `cmd/report -experiments`. Tolerances are loose by design:\n")
 	b.WriteString("the substrate is a simulator and the claims under reproduction are the\n")
-	b.WriteString("qualitative shapes (see DESIGN.md §1).\n\n")
+	b.WriteString("qualitative shapes (see the README's opening section).\n\n")
 	b.WriteString("| ID | Engine | Metric | Paper | Measured | Within tolerance |\n")
 	b.WriteString("|---|---|---|---:|---:|:-:|\n")
 	okAll, total := 0, 0

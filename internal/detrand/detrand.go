@@ -2,8 +2,8 @@
 // sources. Every stochastic choice in the simulated world (which ad-tech
 // stack a campaign uses, which trackers an advertiser embeds, identifier
 // values) draws from a source derived from (seed, labels...), so the same
-// study configuration always produces byte-identical datasets — a property
-// the test suite asserts and DESIGN.md §4.4 calls out.
+// study configuration always produces byte-identical datasets — the
+// property the README leads with and the test suite asserts.
 //
 // # Generator choice and determinism contract
 //

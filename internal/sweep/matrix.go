@@ -437,8 +437,8 @@ var presets = map[string]Matrix{
 	// Firefox, Brave): third-party cookies keyed by top-level site.
 	"cookieless-web": {Storage: []storage.Mode{storage.Partitioned}},
 	// storage-ablation sweeps both cookie models side by side — the
-	// DESIGN §4.2 ablation showing partitioning does not stop
-	// navigational tracking.
+	// ablation showing partitioning does not stop navigational
+	// tracking (the paper's §2.2.1).
 	"storage-ablation": {Storage: []storage.Mode{storage.Flat, storage.Partitioned}},
 	// stealth-ablation contrasts the stealth and naive-headless
 	// fingerprints (§3.1: without stealth the engines serve no ads).

@@ -1,5 +1,5 @@
 // This file holds every behavioural prevalence that stands in for
-// live-web conditions (DESIGN.md §5). Each constant cites the paper
+// live-web conditions. Each constant cites the paper
 // table or line it reproduces. They are defaults; Config can override
 // the derived structures before the world is built.
 

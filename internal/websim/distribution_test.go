@@ -8,9 +8,9 @@ import (
 )
 
 // TestStackDistributionsMatchCalibration verifies that the campaign
-// pools statistically follow the Table 2-derived stack weights — the
-// "mechanism over lookup" check of DESIGN.md §4.1: the paths the crawl
-// produces are an emergent property of these pools.
+// pools statistically follow the Table 2-derived stack weights — a
+// "mechanism over lookup" check: the paths the crawl produces are an
+// emergent property of these pools.
 func TestStackDistributionsMatchCalibration(t *testing.T) {
 	// A large pool makes the sampling error small.
 	cals := map[string]EngineCalibration{}

@@ -3,12 +3,13 @@
 // requests to simulated origin servers, a virtual clock, and a wire log.
 //
 // The paper crawled the live web; this package is the offline substitute
-// (see the README's "Simulated web" section). Every simulated origin — search engines, ad-tech
-// redirectors, advertiser sites — is a Handler registered on a Network.
-// The browser (package browser) issues Requests through Network.RoundTrip
-// exactly the way Chromium issues them through the real network stack, and
-// all of the paper's observations (redirect chains, Set-Cookie headers,
-// query parameters) are properties of this traffic.
+// (see the README's opening section). Every simulated origin — search
+// engines, ad-tech redirectors, advertiser sites — is a Handler
+// registered on a Network. The browser (package browser) issues
+// Requests through Network.RoundTrip exactly the way Chromium issues
+// them through the real network stack, and all of the paper's
+// observations (redirect chains, Set-Cookie headers, query parameters)
+// are properties of this traffic.
 //
 // # Fault injection
 //

@@ -2,6 +2,7 @@ package advertiser
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"searchads/internal/browser"
@@ -203,5 +204,30 @@ func TestWWWSubdomainServed(t *testing.T) {
 	}
 	if res.Page == nil || res.Page.Title != "brand.example" {
 		t.Fatal("www subdomain not served by site handler")
+	}
+}
+
+// TestTrackerURLsConcurrentFirstUse: a tracker's URLs are built on
+// first use and shared by every world and crawl worker using the
+// tracker, so concurrent first uses must agree, and match the host and
+// paths.
+func TestTrackerURLsConcurrentFirstUse(t *testing.T) {
+	for _, tr := range BuiltinTrackers() {
+		wantScript := "https://" + tr.Host + tr.ScriptPath
+		wantPixel := "https://" + tr.Host + tr.PixelPath
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := tr.ScriptURL(); got != wantScript {
+					t.Errorf("ScriptURL = %q, want %q", got, wantScript)
+				}
+				if got := tr.PixelURL(); got.String() != wantPixel || got.Host != tr.Host || got.Path != tr.PixelPath {
+					t.Errorf("PixelURL = %+v, want %q", got, wantPixel)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

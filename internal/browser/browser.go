@@ -310,9 +310,6 @@ func (b *Browser) observeNavigation() func() {
 // navigate starts a navigation to a raw URL: an absolute one as parsed,
 // a relative one resolved against the current document.
 func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, error) {
-	if b.opts.MaxRedirects <= 0 {
-		return &NavResult{}, fmt.Errorf("%w: %d hops reaching %s", ErrTooManyRedirects, 0, rawURL)
-	}
 	u, err := urlx.Parse(rawURL)
 	if err == nil && u.Scheme == "" && !b.currentURL.IsZero() {
 		u, err = urlx.Resolve(b.currentURL, rawURL)

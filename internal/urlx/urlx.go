@@ -283,19 +283,29 @@ func (u URL) cut() (head string, hasQuery bool, tail string) {
 	return head, false, tail
 }
 
-// withQuery returns u with its raw query replaced by q, as setting
-// RawQuery on the url.URL and calling String would.
-func (u URL) withQuery(q string) URL {
+// rebuild returns u with its raw query replaced by q followed by the
+// escaped pairs kv, built in one pass: what setting RawQuery on the
+// url.URL and calling String would give.
+func (u URL) rebuild(q string, kv []string) URL {
 	head, hasQuery, tail := u.cut()
-	forceQuery := hasQuery && u.RawQuery == ""
+	n := len(head) + 1 + len(q) + len(tail)
+	for i := 0; i < len(kv); i += 2 {
+		n += 1 + QueryEscapeLen(kv[i]) + 1 + QueryEscapeLen(kv[i+1])
+	}
 	var b strings.Builder
-	b.Grow(len(head) + 1 + len(q) + len(tail))
+	b.Grow(n)
 	b.WriteString(head)
 	qStart := b.Len()
-	if q != "" || forceQuery {
+	if q != "" || len(kv) > 0 || hasQuery && u.RawQuery == "" { // the last: ForceQuery
 		b.WriteByte('?')
 		qStart++
-		b.WriteString(q)
+	}
+	b.WriteString(q)
+	for i := 0; i < len(kv); i += 2 {
+		if b.Len() > qStart {
+			b.WriteByte('&')
+		}
+		AppendQuery(&b, kv[i], kv[i+1])
 	}
 	qEnd := b.Len()
 	b.WriteString(tail)
@@ -331,34 +341,16 @@ func Decorate(u URL, kv ...string) URL {
 	if len(kv) == 0 {
 		return u
 	}
-	n := 0
 	for i := 0; i < len(kv); i += 2 {
 		if _, present := queryParam(u.RawQuery, kv[i]); present || keyIn(kv[:i], kv[i]) {
 			q := u.RawQuery
 			for j := 0; j < len(kv); j += 2 {
 				q = setParam(q, kv[j], kv[j+1])
 			}
-			return u.withQuery(q)
+			return u.rebuild(q, nil)
 		}
-		n += 1 + QueryEscapeLen(kv[i]) + 1 + QueryEscapeLen(kv[i+1])
 	}
-	head, _, tail := u.cut()
-	var b strings.Builder
-	b.Grow(len(u.s) + 1 + n)
-	b.WriteString(head)
-	b.WriteByte('?')
-	qStart := b.Len()
-	b.WriteString(u.RawQuery)
-	for i := 0; i < len(kv); i += 2 {
-		if b.Len() > qStart {
-			b.WriteByte('&')
-		}
-		AppendQuery(&b, kv[i], kv[i+1])
-	}
-	qEnd := b.Len()
-	b.WriteString(tail)
-	s := b.String()
-	return URL{Scheme: u.Scheme, Host: u.Host, Path: u.Path, RawQuery: s[qStart:qEnd], s: s}
+	return u.rebuild(u.RawQuery, kv)
 }
 
 // setParam returns the raw query q with key set to value: appended,

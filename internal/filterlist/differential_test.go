@@ -69,7 +69,7 @@ func TestDifferentialEmbeddedLists(t *testing.T) {
 	comparisons := 0
 	for _, r := range rules {
 		for _, req := range reqs {
-			got, want := r.Matches(req), r.MatchesOracle(req)
+			got, want := r.Matches(req), r.matchesOracle(req)
 			if got != want {
 				t.Errorf("rule %q vs %q (type=%s 3p=%v): matcher=%v oracle=%v",
 					r.Raw, req.URL, req.Type, req.ThirdParty, got, want)
@@ -89,7 +89,7 @@ func TestDifferentialEngineVerdicts(t *testing.T) {
 	oracleBlocked := func(req RequestInfo) bool {
 		matched := false
 		for _, r := range rules {
-			if !r.Exception && r.MatchesOracle(req) {
+			if !r.Exception && r.matchesOracle(req) {
 				matched = true
 				break
 			}
@@ -98,7 +98,7 @@ func TestDifferentialEngineVerdicts(t *testing.T) {
 			return false
 		}
 		for _, r := range rules {
-			if r.Exception && r.MatchesOracle(req) {
+			if r.Exception && r.matchesOracle(req) {
 				return false
 			}
 		}
@@ -137,7 +137,7 @@ func TestPropertyRandomPatternsAgainstOracle(t *testing.T) {
 			urlRng := &ug
 			u := randomURL(urlRng, pat)
 			req := RequestInfo{URL: u, Type: netsim.TypeScript, FirstParty: "a.example", ThirdParty: true}
-			if got, want := r.Matches(req), r.MatchesOracle(req); got != want {
+			if got, want := r.Matches(req), r.matchesOracle(req); got != want {
 				t.Fatalf("pattern %q vs url %q: matcher=%v oracle=%v", pat, u, got, want)
 			}
 		}
@@ -218,7 +218,7 @@ func TestOracleMatchesSeedRegexTranslation(t *testing.T) {
 		{"doubleclick.net/", false}, // no scheme: the || prefix requires one
 	} {
 		req := RequestInfo{URL: c.url, Type: netsim.TypeScript, FirstParty: "a.com", ThirdParty: true}
-		if got := r.MatchesOracle(req); got != c.want {
+		if got := r.matchesOracle(req); got != c.want {
 			t.Errorf("oracle(%q) = %v, want %v", c.url, got, c.want)
 		}
 		if got := r.Matches(req); got != c.want {

@@ -134,7 +134,7 @@ func TestSeparatorEdgeCases(t *testing.T) {
 		if got := r.Matches(req); got != c.want {
 			t.Errorf("%q vs %q = %v, want %v", c.rule, c.url, got, c.want)
 		}
-		if got := r.MatchesOracle(req); got != c.want {
+		if got := r.matchesOracle(req); got != c.want {
 			t.Errorf("oracle %q vs %q = %v, want %v", c.rule, c.url, got, c.want)
 		}
 	}
@@ -167,7 +167,7 @@ func TestEndAnchorEdgeCases(t *testing.T) {
 		if got := r.Matches(req); got != c.want {
 			t.Errorf("%q vs %q = %v, want %v", c.rule, c.url, got, c.want)
 		}
-		if got := r.MatchesOracle(req); got != c.want {
+		if got := r.matchesOracle(req); got != c.want {
 			t.Errorf("oracle %q vs %q = %v, want %v", c.rule, c.url, got, c.want)
 		}
 	}
@@ -276,7 +276,7 @@ func TestSafeTokenRejection(t *testing.T) {
 		e := NewEngine()
 		e.AddRule(r)
 		req := info(c.url, netsim.TypeScript, "a.com", true)
-		if !r.MatchesOracle(req) {
+		if !r.matchesOracle(req) {
 			t.Fatalf("oracle rejects %q vs %q; test case is broken", c.rule, c.url)
 		}
 		if !e.IsTracker(req) {
@@ -356,7 +356,7 @@ func TestHostFastPathAgainstOracle(t *testing.T) {
 			req := RequestInfo{URL: u, Type: typ, FirstParty: "first.example", ThirdParty: true}
 			var want *Rule
 			for _, r := range rules {
-				if !r.Exception && r.MatchesOracle(req) {
+				if !r.Exception && r.matchesOracle(req) {
 					want = r
 					break
 				}

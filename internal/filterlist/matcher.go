@@ -1,9 +1,6 @@
 package filterlist
 
-import (
-	"regexp"
-	"strings"
-)
+import "strings"
 
 // anchorKind says how a pattern binds to the start of the URL.
 type anchorKind uint8
@@ -35,8 +32,8 @@ type pattern struct {
 }
 
 // compilePattern parses the ABP pattern text (anchors, '*', '^') into
-// its segment form. It mirrors exactly the translation oracleRegex
-// performs into a regexp.
+// its segment form. It mirrors exactly the translation the tests'
+// oracleRegex performs into a regexp.
 func compilePattern(pat string) pattern {
 	rest := pat
 	anchor := anchorNone
@@ -225,43 +222,4 @@ func lowerASCII(s string) string {
 		b[i] = lowerByte(c)
 	}
 	return string(b)
-}
-
-// oracleRegex translates the ABP pattern into the regexp the seed engine
-// compiled eagerly for every rule. It is retained purely as the
-// debug/differential-testing oracle: the test suite proves
-// pattern.match agrees with it verdict-for-verdict, and Rule compiles
-// it lazily so the hot path never pays for it.
-func oracleRegex(pat string) (*regexp.Regexp, error) {
-	var b strings.Builder
-	b.WriteString("(?i)")
-	rest := pat
-	switch {
-	case strings.HasPrefix(pat, "||"):
-		rest = pat[2:]
-		// After the scheme, optionally any subdomain chain.
-		b.WriteString(`^[a-z][a-z0-9+.-]*://(?:[^/?#]*\.)?`)
-	case strings.HasPrefix(pat, "|"):
-		rest = pat[1:]
-		b.WriteString("^")
-	}
-	endAnchor := false
-	if strings.HasSuffix(rest, "|") && !strings.HasSuffix(rest, "||") {
-		endAnchor = true
-		rest = rest[:len(rest)-1]
-	}
-	for _, c := range rest {
-		switch c {
-		case '*':
-			b.WriteString(".*")
-		case '^':
-			b.WriteString(`(?:[^a-zA-Z0-9_.%-]|$)`)
-		default:
-			b.WriteString(regexp.QuoteMeta(string(c)))
-		}
-	}
-	if endAnchor {
-		b.WriteString("$")
-	}
-	return regexp.Compile(b.String())
 }

@@ -21,9 +21,9 @@
 // small "tokenless" bucket; candidate rules are then confirmed by a
 // hand-rolled ABP matcher (matcher.go) that runs on the raw URL bytes
 // with ASCII case-folding and no allocation. The regexp translation the
-// seed engine evaluated per request survives only as a lazily-compiled
-// debug oracle (Rule.MatchesOracle), and the differential tests prove
-// the hand matcher agrees with it verdict-for-verdict.
+// seed engine evaluated per request survives only in the tests
+// (oracle_test.go), where the differential tests prove the hand matcher
+// agrees with it verdict-for-verdict.
 //
 // The engine is read-only after its index is built (built lazily on
 // first Match, rebuilt if rules are added afterwards), so any number of
@@ -42,9 +42,7 @@ package filterlist
 import (
 	"errors"
 	"fmt"
-	"regexp"
 	"strings"
-	"sync"
 
 	"searchads/internal/netsim"
 )
@@ -71,7 +69,7 @@ type Rule struct {
 	// anchorDomain is the domain of a ||domain rule.
 	anchorDomain string
 	// patSrc is the ABP pattern text (anchors included, options
-	// stripped); the oracle regexp is compiled from it on demand.
+	// stripped); the tests' regexp oracle is compiled from it.
 	patSrc string
 	// pat is the compiled hot-path pattern.
 	pat pattern
@@ -89,10 +87,6 @@ type Rule struct {
 	// against the request's first-party site (stored lowercased).
 	includeDomains []string
 	excludeDomains []string
-
-	oracleOnce sync.Once
-	oracle     *regexp.Regexp
-	oracleErr  error
 }
 
 // ErrSkip is returned by ParseRule for lines that are valid list content
@@ -266,23 +260,6 @@ func (r *Rule) optionsMatch(req *RequestInfo, typeBit uint16) bool {
 		return false
 	}
 	return true
-}
-
-// MatchesOracle evaluates the rule through the seed implementation's
-// regexp translation instead of the hand-rolled matcher. It exists as
-// the debug/differential-testing oracle: the regexp is compiled lazily
-// on first use, so production match paths never pay for it.
-func (r *Rule) MatchesOracle(req RequestInfo) bool {
-	if !r.optionsMatch(&req, req.Type.Bit()) {
-		return false
-	}
-	r.oracleOnce.Do(func() {
-		r.oracle, r.oracleErr = oracleRegex(r.patSrc)
-	})
-	if r.oracleErr != nil {
-		return false
-	}
-	return r.oracle.MatchString(req.URL)
 }
 
 // domainListMatch reports whether site equals, or is a subdomain of, any

@@ -18,7 +18,8 @@
 //	loadtest -quick          # small fixed workload (the CI shape)
 //
 // The human-readable report goes to stderr; the machine-readable JSON
-// result is written to -out (default BENCH_loadtest.json). With
+// result is written to the file -out names (none by default, so a run
+// leaves the tree as it found it; '-' writes it to stdout). With
 // -events, a JSONL run-event trace (iteration start/finish, retry,
 // fault, checkpoint, cell done) streams to the given file while the
 // run is live.
@@ -57,7 +58,7 @@ var (
 	queries     = flag.Int("queries", 25, "queries per engine per study")
 	seedBase    = flag.Int64("seed-base", 1, "first study seed; run i uses seed-base+i")
 	events      = flag.String("events", "", "stream a JSONL run-event trace to this file while the run is live")
-	out         = flag.String("out", "BENCH_loadtest.json", "write the JSON result to this file ('' = skip, '-' = stdout)")
+	out         = flag.String("out", "", "write the JSON result to this file ('' = skip, '-' = stdout)")
 	quick       = flag.Bool("quick", false, "small fixed workload: baseline preset, 2 runs, 8 queries (explicit flags still win)")
 	markdown    = flag.Bool("markdown", false, "render the report as Markdown instead of plain text")
 	quiet       = flag.Bool("quiet", false, "suppress the stderr report")

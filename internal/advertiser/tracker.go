@@ -165,12 +165,13 @@ func NewTrackerRegistry(seed detrand.Source, trackers []*Tracker) *TrackerRegist
 	return reg
 }
 
-// Register installs all tracker hosts on the network.
+// Register installs all tracker hosts on the network, building each
+// tracker's script program once for every response that serves it.
 func (reg *TrackerRegistry) Register(net *netsim.Network) {
 	for host, t := range reg.trackers {
-		tracker := t
+		script := reg.scriptFor(t)
 		net.Handle(host, netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
-			return reg.serve(tracker, req)
+			return reg.serve(t, script, req)
 		}))
 	}
 }
@@ -186,11 +187,11 @@ func (reg *TrackerRegistry) mint(label, client string) string {
 	return reg.seed.Derive(label, client).DeriveN("n", n).Token(22, detrand.AlphaNum)
 }
 
-func (reg *TrackerRegistry) serve(t *Tracker, req *netsim.Request) *netsim.Response {
+func (reg *TrackerRegistry) serve(t *Tracker, script netsim.ScriptProgram, req *netsim.Request) *netsim.Response {
 	resp := netsim.NewResponse(http.StatusOK)
 	switch {
 	case strings.HasPrefix(req.URL.Path, t.ScriptPath):
-		resp.Script = reg.scriptFor(t)
+		resp.Script = script
 	case strings.HasPrefix(req.URL.Path, t.PixelPath):
 		if t.SetsThirdPartyCookie {
 			if _, already := req.Cookie("tuid"); !already {

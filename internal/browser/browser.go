@@ -132,8 +132,17 @@ type NavResult struct {
 
 // Browser is one instance. The paper runs "each iteration in a new
 // browser instance to ensure no stale data is cached from previous
-// iterations"; callers mirror that by constructing a new Browser per
-// iteration.
+// iterations"; the crawler keeps one Browser per engine chain and
+// restores it to that fresh-profile state with Reset before each
+// iteration after the first. Reset leaves exactly the state New builds,
+// so an iteration's bytes do not depend on which of the two made its
+// browser.
+//
+// The browser owns the storage of its request path: the requests it
+// sends come from its request slab and the cookies attached to them
+// from its cookie slab. Both are rewound by Reset, so the requests in
+// the two logs, and the cookie lists they carry, are valid until the
+// next Reset; a request kept past it reads as zero values.
 type Browser struct {
 	net   *netsim.Network
 	jar   *storage.Jar
@@ -167,6 +176,15 @@ type Browser struct {
 	crawlerLog   []*netsim.Request
 	extensionLog []*netsim.Request
 
+	// reqSlab holds the requests sent since New or Reset, reqN of them,
+	// in fixed-size chunks that never move, so the logs' pointers stay
+	// valid while the slab grows.
+	reqSlab [][]netsim.Request
+	reqN    int
+	// cookieSlab is the append-only backing of every request's (and
+	// every document.cookie read's) cookie list since New or Reset.
+	cookieSlab []*netsim.Cookie
+
 	currentURL urlx.URL
 	page       *netsim.Page
 	firstParty string
@@ -176,8 +194,11 @@ type Browser struct {
 	pendingRedirect string
 }
 
-// New constructs a browser on the given network.
-func New(net *netsim.Network, opts Options) *Browser {
+// reqChunk is the number of requests in one request-slab chunk.
+const reqChunk = 64
+
+// withDefaults fills the unset options the way New documents them.
+func (opts Options) withDefaults() Options {
 	if opts.CaptureProb == 0 {
 		opts.CaptureProb = 1.0
 	}
@@ -192,27 +213,106 @@ func New(net *netsim.Network, opts Options) *Browser {
 	}
 	opts.Retry = opts.Retry.withDefaults()
 	opts.Countermeasures = opts.Countermeasures.withDefaults()
-	baseHeader := make(http.Header, 3)
-	baseHeader.Set("User-Agent", opts.Fingerprint.UserAgent)
-	if opts.Fingerprint.Headless {
-		baseHeader.Set("X-Headless", "1")
+	return opts
+}
+
+// fingerprintHeader builds the request headers a fingerprint exposes.
+func fingerprintHeader(fp Fingerprint) http.Header {
+	h := make(http.Header, 3)
+	h.Set("User-Agent", fp.UserAgent)
+	if fp.Headless {
+		h.Set("X-Headless", "1")
 	}
-	if opts.Fingerprint.WebDriver {
-		baseHeader.Set("X-Webdriver", "1")
+	if fp.WebDriver {
+		h.Set("X-Webdriver", "1")
 	}
-	return &Browser{
+	return h
+}
+
+// New constructs a browser on the given network.
+func New(net *netsim.Network, opts Options) *Browser {
+	b := &Browser{}
+	b.Reset(net, opts)
+	return b
+}
+
+// Reset turns b into the browser New(net, opts) would build: an empty
+// jar and localStorage, a clock restarted from the network clock, the
+// recorder and pacing streams re-derived from opts.Seed, zeroed
+// countermeasure budgets, and no document. The storage b already owns —
+// jar and localStorage maps, clock, logs, request and cookie slabs — is
+// emptied in place and reused. Requests handed out before Reset read as
+// zero values after it.
+func (b *Browser) Reset(net *netsim.Network, opts Options) {
+	opts = opts.withDefaults()
+	jar, local := b.jar, b.local
+	if jar == nil || jar.Mode() != opts.StorageMode {
+		jar = storage.NewJar(opts.StorageMode)
+		local = storage.NewLocalStorage(opts.StorageMode)
+	} else {
+		jar.Clear()
+		local.Clear()
+	}
+	clock := b.clock
+	if clock == nil {
+		clock = netsim.NewClock(net.Clock().Now())
+	} else {
+		clock.Reset(net.Clock().Now())
+	}
+	header := b.baseHeader
+	if header == nil || opts.Fingerprint != b.opts.Fingerprint {
+		header = fingerprintHeader(opts.Fingerprint)
+	}
+	crawlerLog, extensionLog := b.crawlerLog, b.extensionLog
+	if crawlerLog == nil {
+		crawlerLog = make([]*netsim.Request, 0, 96)
+		extensionLog = make([]*netsim.Request, 0, 96)
+	}
+	clear(crawlerLog)
+	clear(extensionLog)
+	for i, n := 0, b.reqN; n > 0; i, n = i+1, n-reqChunk {
+		clear(b.reqSlab[i][:min(n, reqChunk)])
+	}
+	clear(b.cookieSlab)
+	*b = Browser{
 		net:          net,
-		jar:          storage.NewJar(opts.StorageMode),
-		local:        storage.NewLocalStorage(opts.StorageMode),
+		jar:          jar,
+		local:        local,
 		opts:         opts,
-		clock:        netsim.NewClock(net.Clock().Now()),
-		baseHeader:   baseHeader,
+		clock:        clock,
+		baseHeader:   header,
 		captureRand:  opts.Seed.Derive("capture"),
 		baseClient:   opts.Client,
 		paceRand:     opts.Seed.Derive("pace"),
-		crawlerLog:   make([]*netsim.Request, 0, 96),
-		extensionLog: make([]*netsim.Request, 0, 96),
+		crawlerLog:   crawlerLog[:0],
+		extensionLog: extensionLog[:0],
+		reqSlab:      b.reqSlab,
+		cookieSlab:   b.cookieSlab[:0],
 	}
+}
+
+// newRequest returns the next zeroed request of the request slab.
+func (b *Browser) newRequest() *netsim.Request {
+	c, i := b.reqN/reqChunk, b.reqN%reqChunk
+	if c == len(b.reqSlab) {
+		b.reqSlab = append(b.reqSlab, make([]netsim.Request, reqChunk))
+	}
+	b.reqN++
+	return &b.reqSlab[c][i]
+}
+
+// cookiesFor appends the cookies the jar attaches to a request for u to
+// the cookie slab and returns them (nil when none match). The returned
+// slice has no spare capacity, so appending to it copies rather than
+// overwriting the slab.
+func (b *Browser) cookiesFor(now time.Time, u urlx.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
+	start := len(b.cookieSlab)
+	b.cookieSlab = b.jar.AppendCookies(b.cookieSlab, now, u, firstParty, topLevelNav)
+	end := len(b.cookieSlab)
+	if end == start {
+		return nil
+	}
+	return b.cookieSlab[start:end:end]
 }
 
 // Clock returns the browser's private virtual clock.
@@ -244,7 +344,7 @@ func (b *Browser) DocumentReferrer() string { return b.docReferrer }
 // it on both recorders, and stores response cookies.
 func (b *Browser) send(req *netsim.Request, topLevelNav bool) (*netsim.Response, error) {
 	now := b.clock.Now()
-	req.Cookies = b.jar.Cookies(now, req.URL, req.FirstParty, topLevelNav)
+	req.Cookies = b.cookiesFor(now, req.URL, req.FirstParty, topLevelNav)
 	if req.Header == nil {
 		// The fingerprint headers are identical for every request of
 		// this profile; handlers only read them, so one shared map does.
@@ -330,7 +430,8 @@ func (b *Browser) follow(u urlx.URL, mechanism, referrer string) (*NavResult, er
 			return res, fmt.Errorf("%w: %d hops reaching %s", ErrTooManyRedirects, hop, u)
 		}
 		site := urlx.RegistrableDomain(u.Host)
-		req := &netsim.Request{
+		req := b.newRequest()
+		*req = netsim.Request{
 			Method:     http.MethodGet,
 			URL:        u,
 			Type:       netsim.TypeDocument,
@@ -422,7 +523,8 @@ func (b *Browser) fetchResources(p *netsim.Page, pageURL urlx.URL, firstParty st
 		if err != nil {
 			continue
 		}
-		req := &netsim.Request{
+		req := b.newRequest()
+		*req = netsim.Request{
 			Method:     http.MethodGet,
 			URL:        u,
 			Type:       ref.Type,
@@ -449,7 +551,8 @@ func (b *Browser) loadFrame(frameRef string, pageURL urlx.URL, firstParty string
 	if err != nil {
 		return
 	}
-	req := &netsim.Request{
+	req := b.newRequest()
+	*req = netsim.Request{
 		Method:     http.MethodGet,
 		URL:        u,
 		Type:       netsim.TypeSubdocument,
@@ -511,7 +614,8 @@ func (b *Browser) fireBeacon(beacon netsim.Beacon) {
 	if method == "" {
 		method = http.MethodPost
 	}
-	req := &netsim.Request{
+	req := b.newRequest()
+	*req = netsim.Request{
 		Method:     method,
 		URL:        u,
 		Type:       typ,

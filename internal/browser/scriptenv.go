@@ -41,9 +41,11 @@ func (e *scriptEnv) SetDocumentCookie(c *netsim.Cookie) {
 	e.b.jar.SetCookies(e.Now(), e.pageURL, e.firstParty, []*netsim.Cookie{c})
 }
 
-// DocumentCookies lists the cookies visible to the page document.
+// DocumentCookies lists the cookies visible to the page document. The
+// list comes from the browser's cookie slab: it is read-only and valid
+// until the browser is Reset.
 func (e *scriptEnv) DocumentCookies() []*netsim.Cookie {
-	return e.b.jar.Cookies(e.Now(), e.pageURL, e.firstParty, false)
+	return e.b.cookiesFor(e.Now(), e.pageURL, e.firstParty, false)
 }
 
 // LocalStorageSet writes to the page origin's storage area.
@@ -71,7 +73,8 @@ func (e *scriptEnv) Fetch(method string, u urlx.URL, typ netsim.ResourceType, bo
 	if typ == "" {
 		typ = netsim.TypeXHR
 	}
-	req := &netsim.Request{
+	req := e.b.newRequest()
+	*req = netsim.Request{
 		Method:     method,
 		URL:        u,
 		Type:       typ,

@@ -174,6 +174,12 @@ type crawlPlan struct {
 	// ResumeState.Breaker).
 	breakers      []breakerState
 	breakerEvents []string
+	// browsers holds each chain's browser: built by browser.New for the
+	// chain's first crawled iteration, Reset before each later one and
+	// dropped with the last. A chain has at most one iteration in flight
+	// (startChains) and the sequential loop runs chains one after
+	// another, so no lock guards it.
+	browsers []*browser.Browser
 }
 
 // plan validates the config against the world and lays out the
@@ -221,6 +227,7 @@ func (c *Crawler) plan() (*crawlPlan, error) {
 	}
 	p.breakers = make([]breakerState, len(p.engines))
 	p.breakerEvents = make([]string, len(p.engines))
+	p.browsers = make([]*browser.Browser, len(p.engines))
 	if c.cfg.Resume != nil {
 		if err := c.cfg.Resume.validate(p); err != nil {
 			return nil, err
@@ -269,7 +276,7 @@ func (c *Crawler) runOne(p *crawlPlan, idx, iter int) *Iteration {
 		return it
 	}
 	if tele == nil {
-		it := c.runIteration(p.engines[idx], c.cfg.World.Queries[p.names[idx]][iter], iter, p.visited[idx])
+		it := c.runIteration(p, idx, iter)
 		c.annotateTrackers(it)
 		p.breakers[idx].observe(br, breakerEvent(it) == 'f')
 		return it
@@ -277,7 +284,7 @@ func (c *Crawler) runOne(p *crawlPlan, idx, iter int) *Iteration {
 	engine := p.names[idx]
 	tele.Emit(telemetry.Event{Type: "iteration_start", Engine: engine, Index: iter})
 	start := time.Now() //lint:allow detclock wall-clock iteration timing feeds telemetry percentiles, never outputs
-	it := c.runIteration(p.engines[idx], c.cfg.World.Queries[engine][iter], iter, p.visited[idx])
+	it := c.runIteration(p, idx, iter)
 	c.annotateTrackers(it)
 	wall := time.Since(start) //lint:allow detclock wall-clock iteration timing feeds telemetry percentiles, never outputs
 	tele.ObserveWall(telemetry.StageIteration, wall)
@@ -582,11 +589,15 @@ func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(chai
 // destination URL.
 var revisitBase = urlx.MustParse("https://x.example/")
 
-// runIteration performs one full crawl iteration in a fresh browser
-// instance.
-func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, visited map[string]bool) *Iteration {
+// runIteration performs iteration index of chain idx in the chain's
+// browser, Reset to the fresh-profile state New builds ("We run each
+// iteration in a new browser instance", §3.1).
+func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 	w := c.cfg.World
+	engine := p.engines[idx]
 	name := engine.Spec.Name
+	query := w.Queries[p.names[idx]][index]
+	visited := p.visited[idx]
 	it := &Iteration{
 		Engine:     name,
 		EngineHost: engine.Spec.Host,
@@ -599,7 +610,7 @@ func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, vis
 	if c.cfg.NoStealth {
 		fp = browser.DefaultHeadlessFingerprint()
 	}
-	b := browser.New(w.Net, browser.Options{
+	opts := browser.Options{
 		StorageMode:     c.cfg.StorageMode,
 		CaptureProb:     c.cfg.CaptureProb,
 		Fingerprint:     fp,
@@ -610,7 +621,18 @@ func (c *Crawler) runIteration(engine *serp.Engine, query string, index int, vis
 		// The instance label keys every origin server's identifier
 		// stream for this iteration's requests.
 		Client: it.Instance,
-	})
+	}
+	b := p.browsers[idx]
+	if b == nil {
+		b = browser.New(w.Net, opts)
+	} else {
+		b.Reset(w.Net, opts)
+	}
+	// The chain's next iteration reuses the browser; its last drops it.
+	p.browsers[idx] = nil
+	if index+1 < p.counts[idx] {
+		p.browsers[idx] = b
+	}
 	if c.trackOutcomes {
 		// Stamp the arms-race accounting on every exit path once the
 		// iteration's fate is known.

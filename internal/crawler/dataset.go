@@ -1,5 +1,6 @@
 // Package crawler implements the paper's measurement pipeline (§3.1):
-// for each search query it starts a fresh browser instance, loads the
+// for each search query it starts from a fresh browser profile (each
+// engine chain's browser, Reset to the state a new one has), loads the
 // engine's main page, runs the query, scrapes the displayed ads, clicks
 // one (preferring landing domains not yet visited), traces the full
 // redirect chain, dwells 15 seconds on the destination, and records all

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -436,8 +437,12 @@ func (n *Network) roundTrip(req *Request) (*Response, error) {
 		resp = NewResponse(http.StatusNoContent)
 	}
 	if n.keepWire.Load() {
+		// The log keeps its own copy of the request: a browser reuses
+		// its request storage from one crawl iteration to the next.
+		logged := *req
+		logged.Cookies = slices.Clone(req.Cookies)
 		n.mu.Lock()
-		n.wire = append(n.wire, WireEvent{Request: req, Response: resp})
+		n.wire = append(n.wire, WireEvent{Request: &logged, Response: resp})
 		n.mu.Unlock()
 	}
 	return resp, nil
@@ -469,6 +474,13 @@ type Clock struct {
 
 // NewClock returns a clock starting at the given instant.
 func NewClock(start time.Time) *Clock { return &Clock{now: start} }
+
+// Reset sets the clock to start, as NewClock(start) would.
+func (c *Clock) Reset(start time.Time) {
+	c.mu.Lock()
+	c.now = start
+	c.mu.Unlock()
+}
 
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Time {

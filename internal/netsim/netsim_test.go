@@ -86,9 +86,19 @@ func TestWireLog(t *testing.T) {
 	n := NewNetwork()
 	n.Handle("a.com", echoHandler("x"))
 	n.RecordWire(true)
-	n.RoundTrip(&Request{URL: urlx.MustParse("https://a.com/")})
+	sent := &Request{URL: urlx.MustParse("https://a.com/"), Cookies: []*Cookie{NewCookie("c", "1")}}
+	n.RoundTrip(sent)
 	if got := len(n.Wire()); got != 1 {
 		t.Fatalf("wire events = %d, want 1", got)
+	}
+	// The log keeps its own copy: a sender reusing the request's storage
+	// afterwards, as a Reset browser does, leaves the log intact.
+	cookie := sent.Cookies[0]
+	sent.Cookies[0] = nil
+	*sent = Request{}
+	logged := n.Wire()[0].Request
+	if logged.URL.String() != "https://a.com/" || len(logged.Cookies) != 1 || logged.Cookies[0] != cookie {
+		t.Fatalf("logged request changed with the sender's storage: %+v", logged)
 	}
 	n.RecordWire(false)
 	if got := len(n.Wire()); got != 0 {

@@ -65,6 +65,15 @@ type Beacon struct {
 // storage without copying it. It panics on an odd number of pairs or a
 // repeated key, which are always programming errors in the simulator.
 func NewElement(tag string, kv ...string) *Element {
+	e := MakeElement(tag, kv...)
+	return &e
+}
+
+// MakeElement is NewElement returning the element by value, for callers
+// that lay a page's elements out in one array. SetAttr appends a new
+// attribute to kv, so kv must have no spare capacity shared with other
+// elements.
+func MakeElement(tag string, kv ...string) Element {
 	if len(kv)%2 != 0 {
 		panic("netsim: NewElement attribute pairs must be even")
 	}
@@ -75,7 +84,7 @@ func NewElement(tag string, kv ...string) *Element {
 			}
 		}
 	}
-	return &Element{Tag: tag, attrs: kv}
+	return Element{Tag: tag, attrs: kv}
 }
 
 // Attr returns the named attribute ("" when absent).

@@ -305,9 +305,7 @@ func (e *Engine) adsFrame(req *netsim.Request) *netsim.Response {
 }
 
 // organicHrefs are the constant organic-result links shared by every
-// SERP render (the elements themselves are built fresh per page:
-// served DOM is mutable — scripts may decorate links — so subtrees are
-// never shared between pages).
+// SERP render.
 var organicHrefs = func() [8]string {
 	var hrefs [8]string
 	for i := range hrefs {
@@ -316,15 +314,33 @@ var organicHrefs = func() [8]string {
 	return hrefs
 }()
 
+// organicsScaffold is the storage of one page's organic-results block:
+// the container and its links, the container's child list, and every
+// element's attributes (the container's id pair, then href and
+// data-organic per link).
+type organicsScaffold struct {
+	els  [1 + len(organicHrefs)]netsim.Element
+	kids [len(organicHrefs)]*netsim.Element
+	kv   [2 + 4*len(organicHrefs)]string
+}
+
 // organicsBlock builds a fresh organic-results block (plain links,
-// never to trackers, §4.1.2).
+// never to trackers, §4.1.2) in one allocation. Served DOM is mutable —
+// scripts decorate links in place with SetAttr — so nothing is shared
+// between pages, and each element's attributes are capped so that an
+// appended attribute cannot spill into its neighbour's.
 func organicsBlock() *netsim.Element {
-	organics := netsim.NewElement("div", "id", "organic")
-	organics.Children = make([]*netsim.Element, 0, len(organicHrefs))
-	for _, href := range organicHrefs {
-		organics.Append(netsim.NewElement("a", "href", href, "data-organic", "1"))
+	s := new(organicsScaffold)
+	s.kv[0], s.kv[1] = "id", "organic"
+	s.els[0] = netsim.MakeElement("div", s.kv[0:2:2]...)
+	for i, href := range organicHrefs {
+		kv := s.kv[2+4*i : 6+4*i : 6+4*i]
+		kv[0], kv[1], kv[2], kv[3] = "href", href, "data-organic", "1"
+		s.els[1+i] = netsim.MakeElement("a", kv...)
+		s.kids[i] = &s.els[1+i]
 	}
-	return organics
+	s.els[0].Children = s.kids[:]
+	return &s.els[0]
 }
 
 // renderAds builds the ads container. Every ad element carries the

@@ -68,16 +68,26 @@ type cookieKey struct {
 	name      string
 }
 
+// jarEntry is one stored cookie together with its request-side form:
+// the name/value cookie Cookies and AppendCookies hand out, built once
+// when the cookie is stored. An entry is never modified after it is
+// stored; replacing or expiring the cookie drops the entry from the map,
+// so a request-side cookie handed out earlier keeps its name and value.
+type jarEntry struct {
+	StoredCookie
+	wire netsim.Cookie
+}
+
 // Jar is a cookie store. The zero value is not usable; construct with
 // NewJar.
 type Jar struct {
 	mode    Mode
-	cookies map[cookieKey]*StoredCookie
+	cookies map[cookieKey]*jarEntry
 }
 
 // NewJar returns an empty jar in the given mode.
 func NewJar(mode Mode) *Jar {
-	return &Jar{mode: mode, cookies: make(map[cookieKey]*StoredCookie)}
+	return &Jar{mode: mode, cookies: make(map[cookieKey]*jarEntry)}
 }
 
 // Mode returns the jar's storage model.
@@ -124,7 +134,7 @@ func (j *Jar) SetCookies(now time.Time, u urlx.URL, firstParty string, cookies [
 		if path == "" {
 			path = "/"
 		}
-		sc := &StoredCookie{
+		e := &jarEntry{StoredCookie: StoredCookie{
 			PartitionKey: j.partitionFor(firstParty, c.Partitioned),
 			Domain:       domain,
 			HostOnly:     hostOnly,
@@ -136,13 +146,14 @@ func (j *Jar) SetCookies(now time.Time, u urlx.URL, firstParty string, cookies [
 			HTTPOnly:     c.HTTPOnly,
 			SameSite:     c.SameSite,
 			Created:      now,
-		}
-		k := cookieKey{sc.PartitionKey, sc.Domain, sc.Path, sc.Name}
-		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
+		}}
+		e.wire = netsim.Cookie{Name: e.Name, Value: e.Value}
+		k := cookieKey{e.PartitionKey, e.Domain, e.Path, e.Name}
+		if !e.Expires.IsZero() && !e.Expires.After(now) {
 			delete(j.cookies, k) // expired set = deletion
 			continue
 		}
-		j.cookies[k] = sc
+		j.cookies[k] = e
 	}
 }
 
@@ -169,68 +180,75 @@ func pathMatch(requestPath, cookiePath string) bool {
 }
 
 // Cookies returns the cookies the browser would attach to a request for
-// u made in a tab whose top-level site is firstParty. u is the request
-// URL in its one URL form: host, path and scheme are read as split, with
-// no parse. A zero u matches nothing. topLevelNav marks top-level
+// u made in a tab whose top-level site is firstParty: AppendCookies into
+// a new slice. The returned cookies are shared with the jar and must
+// not be modified.
+func (j *Jar) Cookies(now time.Time, u urlx.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
+	return j.AppendCookies(nil, now, u, firstParty, topLevelNav)
+}
+
+// AppendCookies appends to dst the cookies the browser would attach to
+// a request for u made in a tab whose top-level site is firstParty, in
+// send order, and returns the extended slice. u is the request URL in
+// its one URL form: host, path and scheme are read as split, with no
+// parse. A zero u matches nothing. topLevelNav marks top-level
 // navigations, which (like real browsers) still send SameSite=Lax
 // cookies cross-site.
-func (j *Jar) Cookies(now time.Time, u urlx.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
+//
+// The appended cookies carry only Name and Value. They are read-only
+// and shared with the jar: each points at the request-side cookie built
+// when the cookie was stored, so appending allocates nothing beyond
+// dst's growth. Replacing or expiring a stored cookie leaves cookies
+// handed out earlier unchanged.
+func (j *Jar) AppendCookies(dst []*netsim.Cookie, now time.Time, u urlx.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
 	if u.IsZero() || len(j.cookies) == 0 {
-		return nil
+		return dst
 	}
 	host := strings.ToLower(urlx.Hostname(u.Host))
 	requestSite := urlx.RegistrableDomain(host)
 	crossSite := firstParty != "" && requestSite != firstParty
 
 	// Most requests match a handful of cookies: collect them in a stack
-	// buffer, so only the returned cookies are allocated.
-	var buf [16]*StoredCookie
+	// buffer for sorting.
+	var buf [16]*jarEntry
 	matched := buf[:0]
-	for k, sc := range j.cookies {
-		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
+	for k, e := range j.cookies {
+		if !e.Expires.IsZero() && !e.Expires.After(now) {
 			delete(j.cookies, k)
 			continue
 		}
-		if sc.PartitionKey != "" && sc.PartitionKey != firstParty {
+		if e.PartitionKey != "" && e.PartitionKey != firstParty {
 			continue
 		}
-		if sc.HostOnly {
-			if sc.Domain != host {
+		if e.HostOnly {
+			if e.Domain != host {
 				continue
 			}
-		} else if !domainMatch(host, sc.Domain) {
+		} else if !domainMatch(host, e.Domain) {
 			continue
 		}
-		if !pathMatch(u.Path, sc.Path) {
+		if !pathMatch(u.Path, e.Path) {
 			continue
 		}
-		if sc.Secure && u.Scheme != "https" {
+		if e.Secure && u.Scheme != "https" {
 			continue
 		}
 		if crossSite && !topLevelNav {
 			// Subresource cross-site: only SameSite=None travels.
-			if sc.SameSite != netsim.SameSiteNone {
+			if e.SameSite != netsim.SameSiteNone {
 				continue
 			}
 		}
-		if crossSite && topLevelNav && sc.SameSite == netsim.SameSiteStrict {
+		if crossSite && topLevelNav && e.SameSite == netsim.SameSiteStrict {
 			continue
 		}
-		matched = append(matched, sc)
-	}
-	if len(matched) == 0 {
-		return nil
+		matched = append(matched, e)
 	}
 	slices.SortFunc(matched, sendOrder)
-	// One backing array for the result cookies instead of one heap
-	// object per cookie: this runs for every request the browser sends.
-	backing := make([]netsim.Cookie, len(matched))
-	out := make([]*netsim.Cookie, len(matched))
-	for i, sc := range matched {
-		backing[i] = netsim.Cookie{Name: sc.Name, Value: sc.Value}
-		out[i] = &backing[i]
+	for _, e := range matched {
+		dst = append(dst, &e.wire)
 	}
-	return out
+	return dst
 }
 
 // sendOrder is the order cookies are attached to a request: longer
@@ -238,7 +256,7 @@ func (j *Jar) Cookies(now time.Time, u urlx.URL, firstParty string, topLevelNav 
 // order — then Domain and PartitionKey, so the order is total and no
 // tie is left to map iteration. (Two matched cookies with paths of one
 // length have the same path: both are prefixes of the request path.)
-func sendOrder(a, b *StoredCookie) int {
+func sendOrder(a, b *jarEntry) int {
 	if c := cmp.Compare(len(b.Path), len(a.Path)); c != 0 {
 		return c
 	}
@@ -258,11 +276,11 @@ func sendOrder(a, b *StoredCookie) int {
 // all first-party and third-party cookies ... at each step", §3.1).
 func (j *Jar) All(now time.Time) []StoredCookie {
 	out := make([]StoredCookie, 0, len(j.cookies))
-	for _, sc := range j.cookies {
-		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
+	for _, e := range j.cookies {
+		if !e.Expires.IsZero() && !e.Expires.After(now) {
 			continue
 		}
-		out = append(out, *sc)
+		out = append(out, e.StoredCookie)
 	}
 	slices.SortFunc(out, func(a, b StoredCookie) int {
 		return cmp.Or(
@@ -280,16 +298,16 @@ func (j *Jar) All(now time.Time) []StoredCookie {
 // is the jar's total order, the one All sorts by: partition, then path
 // (domain and name are fixed by the arguments).
 func (j *Jar) Get(domain, name string) (string, bool) {
-	var best *StoredCookie
-	for k, sc := range j.cookies {
+	var best *jarEntry
+	for k, e := range j.cookies {
 		if k.domain != domain || k.name != name {
 			continue
 		}
 		if best == nil || cmp.Or(
-			strings.Compare(sc.PartitionKey, best.PartitionKey),
-			strings.Compare(sc.Path, best.Path),
+			strings.Compare(e.PartitionKey, best.PartitionKey),
+			strings.Compare(e.Path, best.Path),
 		) < 0 {
-			best = sc
+			best = e
 		}
 	}
 	if best == nil {
@@ -302,6 +320,9 @@ func (j *Jar) Get(domain, name string) (string, bool) {
 // yet purged).
 func (j *Jar) Len() int { return len(j.cookies) }
 
-// Clear empties the jar (a fresh browser instance, §3.1: "We run each
-// iteration in a new browser instance").
-func (j *Jar) Clear() { j.cookies = make(map[cookieKey]*StoredCookie) }
+// Clear empties the jar in place, keeping the map's storage: a browser
+// Reset between crawl iterations starts each one from an empty jar, as
+// a fresh browser instance would (§3.1: "We run each iteration in a new
+// browser instance"). Cookies handed out before Clear keep their name
+// and value.
+func (j *Jar) Clear() { clear(j.cookies) }

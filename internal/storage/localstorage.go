@@ -83,7 +83,7 @@ func (ls *LocalStorage) Len() int {
 	return n
 }
 
-// Clear empties the storage.
-func (ls *LocalStorage) Clear() {
-	ls.data = make(map[string]map[string]map[string]string)
-}
+// Clear empties the storage in place, keeping the top-level map's
+// storage: a browser Reset between crawl iterations starts each one
+// from empty DOM storage, as a fresh browser instance would.
+func (ls *LocalStorage) Clear() { clear(ls.data) }

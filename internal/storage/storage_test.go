@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +220,40 @@ func TestReplacementSemantics(t *testing.T) {
 	}
 	if j.Len() != 1 {
 		t.Fatalf("len = %d, want 1", j.Len())
+	}
+}
+
+// TestAppendedCookiesSurviveReplacement checks the aliasing contract of
+// AppendCookies: the cookies it hands out are the jar's, yet one kept
+// after the jar replaces, expires or clears the stored cookie still
+// reads the name and value it was sent with. It also checks that
+// AppendCookies extends dst and that Cookies is AppendCookies(nil, ...).
+func TestAppendedCookiesSurviveReplacement(t *testing.T) {
+	j := NewJar(Flat)
+	u := urlx.MustParse("https://www.bing.com/")
+	j.SetCookies(t0, u, "bing.com", []*netsim.Cookie{
+		netsim.NewCookie("MUID", "v1"),
+		netsim.NewCookie("short", "s1").WithTTL(t0, time.Minute),
+	})
+	prefix := []*netsim.Cookie{netsim.NewCookie("earlier", "x")}
+	got := j.AppendCookies(prefix, t0, u, "bing.com", false)
+	if len(got) != 3 || got[0] != prefix[0] {
+		t.Fatalf("AppendCookies onto one cookie = %v, want it kept plus two", names(got))
+	}
+	if want := j.Cookies(t0, u, "bing.com", false); !slices.Equal(names(got[1:]), names(want)) {
+		t.Fatalf("AppendCookies appended %v, Cookies returns %v", names(got[1:]), names(want))
+	}
+	kept := got[1:]
+
+	j.SetCookies(t0, u, "bing.com", []*netsim.Cookie{netsim.NewCookie("MUID", "v2")})
+	later := t0.Add(time.Hour)
+	if now := j.Cookies(later, u, "bing.com", false); len(now) != 1 || now[0].Value != "v2" {
+		t.Fatalf("after replacement and expiry the jar sends %v", names(now))
+	}
+	j.Clear()
+	if kept[0].Name != "MUID" || kept[0].Value != "v1" || kept[1].Name != "short" || kept[1].Value != "s1" {
+		t.Errorf("cookies kept past replacement, expiry and Clear read %v=%v, %v=%v; want MUID=v1, short=s1",
+			kept[0].Name, kept[0].Value, kept[1].Name, kept[1].Value)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -386,5 +387,41 @@ func TestLooksLikePhraseUnicodeWhitespace(t *testing.T) {
 		if LooksLikePhrase(v) {
 			t.Fatalf("LooksLikePhrase(%q) = true, want false", v)
 		}
+	}
+}
+
+// TestIsDictionaryWordMatchesToLower holds the stack-buffer lowercasing
+// to the strings.ToLower lookup it replaces, on mixed-case, non-ASCII
+// and long words.
+func TestIsDictionaryWordMatchesToLower(t *testing.T) {
+	words := []string{
+		"", "a", "A", "paris", "Paris", "PARIS", "pArIs", "Weather",
+		"forecast2", "xyzzy", "CAFÉ", "café", "Ünïcode",
+		"\u212aEY", // Kelvin sign K: lowercases to the ASCII "key"
+		"İstanbul",
+		strings.Repeat("Ab", 16),       // 32 bytes: the buffer's length
+		strings.Repeat("Ab", 16) + "c", // 33 bytes: over it
+		strings.Repeat("theme", 20),
+	}
+	for _, w := range words {
+		_, want := dictionary[strings.ToLower(w)]
+		if got := IsDictionaryWord(w); got != want {
+			t.Errorf("IsDictionaryWord(%q) = %v, want %v", w, got, want)
+		}
+	}
+	if !IsDictionaryWord("\u212aEY") {
+		t.Error(`IsDictionaryWord("\u212aEY") = false; strings.ToLower folds it to "key"`)
+	}
+}
+
+// TestIsDictionaryWordNoAllocs checks that an ASCII lookup allocates
+// nothing, hit or miss.
+func TestIsDictionaryWordNoAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		IsDictionaryWord("Weather")
+		IsDictionaryWord("XYZZY42")
+	})
+	if allocs != 0 {
+		t.Errorf("ASCII IsDictionaryWord allocated %.0f times per run, want 0", allocs)
 	}
 }

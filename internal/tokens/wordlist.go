@@ -1,12 +1,33 @@
 package tokens
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // IsDictionaryWord reports whether w (lowercased) is in the embedded
 // English wordlist. The paper used PyEnchant; we embed a compact list of
 // common words plus the vocabulary that actually occurs in web-tracking
 // parameter values (preferences, UI state, locales).
+//
+// An ASCII word of up to 32 bytes is lowercased into a stack buffer, so
+// the lookup allocates nothing; other words go through strings.ToLower.
 func IsDictionaryWord(w string) bool {
+	var buf [32]byte
+	if len(w) <= len(buf) {
+		n := 0
+		for ; n < len(w) && w[n] < utf8.RuneSelf; n++ {
+			c := w[n]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[n] = c
+		}
+		if n == len(w) {
+			_, ok := dictionary[string(buf[:n])]
+			return ok
+		}
+	}
 	_, ok := dictionary[strings.ToLower(w)]
 	return ok
 }

@@ -5,10 +5,13 @@
 //
 //	report -in dataset.json            # analyse a saved dataset
 //	report -seed 1 -queries 100        # run a fresh study end to end
-//	report -in dataset.json -shards 8  # sharded fold across 8 cores
 //	report -in dataset.json -experiments > EXPERIMENTS.md
 //	report -seed 1 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	report -in dataset.json -shards 8 -blockprofile block.pprof -mutexprofile mutex.pprof
+//	report -in dataset.json -blockprofile block.pprof -mutexprofile mutex.pprof
+//
+// A saved dataset is folded in one contiguous range per core
+// (GOMAXPROCS), the way a Parallel study folds a cached dataset; the
+// report is byte-identical to the sequential fold.
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 
@@ -31,7 +35,6 @@ var (
 	seed         = flag.Int64("seed", 20221001, "world seed for a fresh study")
 	queries      = flag.Int("queries", 500, "queries per engine for a fresh study")
 	engines      = flag.String("engines", "", "comma-separated engines for a fresh study")
-	shards       = flag.Int("shards", 0, "analysis shards for -in datasets (0/1 = sequential fold; reports are byte-identical either way)")
 	experiments  = flag.Bool("experiments", false, "emit EXPERIMENTS.md (paper vs measured) instead of the report")
 	asJSON       = flag.Bool("json", false, "emit the report as JSON")
 	cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -65,7 +68,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "report:", err)
 			return 1
 		}
-		if report, err = searchads.AnalyzeDatasetSharded(ctx, ds, *shards); err != nil {
+		if report, err = searchads.AnalyzeDatasetSharded(ctx, ds, runtime.GOMAXPROCS(0)); err != nil {
 			fmt.Fprintln(os.Stderr, "report:", err)
 			if errors.Is(err, searchads.ErrCanceled) {
 				return 130

@@ -3,9 +3,7 @@
 // (mean, stddev, min/max, 95% CI per engine). Each cell's crawl is
 // folded one iteration at a time through the incremental analysis, so
 // memory stays O(-parallel) iterations however many cells the matrix
-// expands to — no cell ever holds a dataset. With -analysis-shards the
-// per-cell fold itself is sharded and merged (byte-identical reports),
-// for machines with more cores than cells.
+// expands to — no cell ever holds a dataset.
 //
 // Usage:
 //
@@ -73,7 +71,6 @@ var (
 	seedBase     = flag.Int64("seed-base", 1, "first seed when -seeds is set")
 	queries      = flag.Int("queries", 50, "queries per engine per cell (yields to the matrix's queries= key unless given explicitly)")
 	parallel     = flag.Int("parallel", 0, "cells in flight at once (0 = GOMAXPROCS); also the peak dataset-retention bound")
-	shards       = flag.Int("analysis-shards", 0, "per-cell analysis shards (0/1 = sequential fold; cell reports are byte-identical either way)")
 	faults       = flag.String("faults", "", "fault-injection profile(s), comma-separated: "+strings.Join(searchads.FaultProfiles(), ", ")+" (overrides the matrix's faults= key)")
 	faultRate    = flag.String("fault-rate", "", "fault-injection rate(s) in [0, 1], comma-separated (overrides the matrix's fault-rate= key)")
 	adversary    = flag.String("adversary", "", "adversary posture(s), comma-separated: "+strings.Join(searchads.AdversaryPostures(), ", ")+" (overrides the matrix's adversary= key)")
@@ -222,7 +219,7 @@ func run() int {
 	}
 
 	var cellsDone, cellsTotal atomic.Int64
-	opts := searchads.SweepOptions{Parallel: *parallel, AnalysisShards: *shards, Checkpoint: *ckpt, Telemetry: tele}
+	opts := searchads.SweepOptions{Parallel: *parallel, Checkpoint: *ckpt, Telemetry: tele}
 	opts.OnCellDone = func(done, total int, c searchads.SweepCell, err error) {
 		cellsDone.Store(int64(done))
 		cellsTotal.Store(int64(total))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"searchads/internal/crawler"
@@ -145,9 +146,10 @@ func TestAddPathlessIteration(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShardedByteIdentical: the parallel contiguous-range fold is
-// byte-identical to AnalyzeWith for every shard count, including counts
-// past the dataset size.
+// TestAnalyzeShardedByteIdentical: the parallel contiguous-range fold
+// and the round-robin StreamSharder are byte-identical to AnalyzeWith
+// for every shard count, including counts past the dataset size, and
+// the sharder calls its folded hook once per iteration.
 func TestAnalyzeShardedByteIdentical(t *testing.T) {
 	_, ds := report(t)
 	want := reportBytes(t, AnalyzeWith(ds, Options{}))
@@ -158,6 +160,21 @@ func TestAnalyzeShardedByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(reportBytes(t, got), want) {
 			t.Fatalf("shards=%d: sharded report differs from batch", shards)
+		}
+
+		var folded atomic.Int64
+		sh := NewStreamSharder(Options{}, shards, func() { folded.Add(1) })
+		for _, it := range ds.Iterations {
+			sh.Add(it)
+		}
+		if got, err = sh.Finish(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !bytes.Equal(reportBytes(t, got), want) {
+			t.Fatalf("shards=%d: streamed sharded report differs from batch", shards)
+		}
+		if n := folded.Load(); n != int64(len(ds.Iterations)) {
+			t.Fatalf("shards=%d: folded hook ran %d times for %d iterations", shards, n, len(ds.Iterations))
 		}
 	}
 }

@@ -16,8 +16,8 @@
 // Accumulators compose: Merge combines shard accumulators into the
 // exact state of a sequential fold (AddAt tags iterations with their
 // stream position so first-seen engine order survives any partition),
-// which is what AnalyzeSharded, Parallel studies, and sweep cells use
-// to scale the analysis across cores with byte-identical reports.
+// which is what AnalyzeSharded and Parallel studies use to scale the
+// analysis across cores with byte-identical reports.
 package analysis
 
 import (

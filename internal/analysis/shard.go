@@ -10,10 +10,11 @@ import (
 // accumulators: Add hands each iteration, tagged with its stream
 // position, round-robin to a shard goroutine, and Finish merges the
 // shards into the byte-exact sequential report (see Accumulator.Merge).
-// It is the streaming counterpart of AnalyzeSharded, used by sweep
-// cells with AnalysisShards > 1 (a Parallel study folds on its crawl
-// pool instead); at most one iteration is in flight per shard, so
-// memory stays O(shards · iteration).
+// It is the streaming counterpart of AnalyzeSharded. Its one caller
+// is cmd/bench -trace, whose traced study-par folds the Iterations
+// stream through it (a Parallel study folds on its crawl pool
+// instead); at most one iteration is in flight per shard, so memory
+// stays O(shards · iteration).
 //
 // Add and Finish/Abort must run on one goroutine (the stream consumer);
 // the shard folds run on their own.

@@ -117,8 +117,8 @@ func New(cfg Config) *Crawler {
 	}
 	cfg.Countermeasures = cfg.Countermeasures.withDefaults()
 	if cfg.Telemetry != nil {
-		// One central install covers every caller (facade, sweep cells,
-		// loadtest): the crawl's network reports round trips and faults
+		// One central install covers every caller (facade, sweep
+		// cells): the crawl's network reports round trips and faults
 		// into the same registry the crawler reports iterations into.
 		cfg.World.Net.InstallTelemetry(cfg.Telemetry)
 	}

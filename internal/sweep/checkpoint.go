@@ -38,8 +38,8 @@ type sweepCheckpointer struct {
 // matrixHash fingerprints everything that influences a sweep's output
 // bytes: the expanded cells (fully value-typed) and whether custom
 // filter/entity dependencies replace the embedded defaults. Worker-pool
-// width and analysis shard count are deliberately excluded — a sweep
-// may resume with different parallelism.
+// width is deliberately excluded — a sweep may resume with different
+// parallelism.
 func matrixHash(cells []Cell, opts Options) (string, error) {
 	return checkpoint.HashConfig(struct {
 		Cells    []Cell

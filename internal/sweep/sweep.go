@@ -21,18 +21,8 @@ import (
 type Options struct {
 	// Parallel bounds the number of cells in flight at once
 	// (0 = GOMAXPROCS). Each in-flight cell holds at most one crawl
-	// iteration at a time (2·AnalysisShards+1 when intra-cell sharding
-	// is on), so this also bounds peak iteration retention.
+	// iteration at a time, so this also bounds peak iteration retention.
 	Parallel int
-	// AnalysisShards, when > 1, splits each cell's analysis fold across
-	// that many shard accumulators fed round-robin from the crawl
-	// stream and merged before the report (analysis.Accumulator.Merge).
-	// Cell reports are byte-identical to the sequential fold. Useful
-	// when the machine has more cores than the matrix has cells; with
-	// it, a cell may retain up to 2·AnalysisShards+1 iterations at once
-	// (one buffered per shard channel, one folding per shard, one in
-	// the consumer's hand).
-	AnalysisShards int
 	// Filter is the filter engine shared by every cell — crawl-time
 	// annotation for FilterAnnotate cells and the analysis side of all
 	// cells (nil = the embedded EasyList+EasyPrivacy default). The
@@ -74,8 +64,8 @@ type Options struct {
 	// Telemetry, when set, records run-time metrics across the whole
 	// sweep: cell lifecycle (wall latency, done/error counts), each
 	// cell's crawl (round trips, navigations, iterations — see
-	// crawler.Config.Telemetry), analysis fold latency (sequential cell
-	// folds; sharded folds time inside the shards and are not recorded),
+	// crawler.Config.Telemetry), analysis fold latency (one sample per
+	// folded iteration, checkpoint-restored ones included),
 	// checkpoint writes, and world reuse (world_derivations per seed,
 	// world_instantiations per cell). nil = off. Telemetry never affects
 	// sweep output and does not enter the matrix hash.
@@ -474,9 +464,9 @@ func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellRes
 	}
 	stream := crawler.New(ccfg).Iterations(ctx)
 
-	// observe is the per-iteration bookkeeping shared by both fold
-	// shapes. live is false for checkpoint-restored iterations: they
-	// fired the hooks and were checkpointed in their original run.
+	// observe is the per-iteration bookkeeping around the fold. live is
+	// false for checkpoint-restored iterations: they fired the hooks and
+	// were checkpointed in their original run.
 	observe := func(it *crawler.Iteration, live bool) error {
 		cr.Iterations++
 		if it.Error != "" {
@@ -496,69 +486,34 @@ func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellRes
 		return nil
 	}
 
-	shards := r.opts.AnalysisShards
-	if shards <= 1 {
-		acc := analysis.NewAccumulator(opts)
-		fold := func(it *crawler.Iteration) {
-			tele := r.opts.Telemetry
-			if tele == nil {
-				acc.Add(it)
-				return
-			}
-			start := time.Now() //lint:allow detclock wall-clock fold timing feeds telemetry percentiles, never outputs
+	acc := analysis.NewAccumulator(opts)
+	fold := func(it *crawler.Iteration) {
+		tele := r.opts.Telemetry
+		if tele == nil {
 			acc.Add(it)
-			tele.ObserveWall(telemetry.StageAnalysisFold, time.Since(start)) //lint:allow detclock wall-clock fold timing feeds telemetry percentiles, never outputs
+			return
 		}
-		for _, it := range prefix {
-			observe(it, false)
-			fold(it)
-		}
-		for it, err := range stream {
-			if err != nil {
-				return nil, err
-			}
-			r.trackIteration(+1)
-			if err := observe(it, true); err != nil {
-				r.trackIteration(-1)
-				return nil, err
-			}
-			fold(it)
-			r.trackIteration(-1)
-		}
-		return r.finishCell(c, acc.Report())
+		start := time.Now() //lint:allow detclock wall-clock fold timing feeds telemetry percentiles, never outputs
+		acc.Add(it)
+		tele.ObserveWall(telemetry.StageAnalysisFold, time.Since(start)) //lint:allow detclock wall-clock fold timing feeds telemetry percentiles, never outputs
 	}
-
-	// Sharded cell fold: iterations stream round-robin into per-shard
-	// accumulators (tagged with their stream position), which merge into
-	// the exact sequential fold once the crawl drains.
-	sharder := analysis.NewStreamSharder(opts, shards, func() { r.trackIteration(-1) })
 	for _, it := range prefix {
 		observe(it, false)
-		r.trackIteration(+1) // the sharder's consumed-callback decrements
-		sharder.Add(it)
+		fold(it)
 	}
 	for it, err := range stream {
 		if err != nil {
-			sharder.Abort()
 			return nil, err
 		}
 		r.trackIteration(+1)
 		if err := observe(it, true); err != nil {
 			r.trackIteration(-1)
-			sharder.Abort()
 			return nil, err
 		}
-		sharder.Add(it)
+		fold(it)
+		r.trackIteration(-1)
 	}
-	rep, err := sharder.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return r.finishCell(c, rep)
-}
-
-// finishCell delivers the cell's report to the observer hook.
-func (r *runner) finishCell(c Cell, rep *analysis.Report) (*analysis.Report, error) {
+	rep := acc.Report()
 	if r.opts.OnReport != nil {
 		r.mu.Lock()
 		r.opts.OnReport(c, rep)

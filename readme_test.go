@@ -3,6 +3,7 @@ package searchads_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -42,6 +43,58 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	return out
 }
 
+// lineFlag is one flag on a README command line: its name and the
+// value it may take, which is the text after '=' in -name=value form
+// and otherwise the next argument (nil when the flag is last).
+type lineFlag struct {
+	name   string
+	values []string
+}
+
+// commandLineFlags walks a command line's arguments for flags. A lone
+// "-" is a value (stdin or stdout), never a flag; -name=value names
+// the flag "name".
+func commandLineFlags(args []string) []lineFlag {
+	var out []lineFlag
+	for i, a := range args {
+		if a == "-" || !strings.HasPrefix(a, "-") {
+			continue
+		}
+		name := strings.TrimLeft(a, "-")
+		if k := strings.IndexByte(name, '='); k >= 0 {
+			out = append(out, lineFlag{name[:k], []string{name[k+1:]}})
+			continue
+		}
+		f := lineFlag{name: name}
+		if i+1 < len(args) {
+			f.values = args[i+1 : i+2]
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+func TestCommandLineFlags(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want []lineFlag
+	}{
+		{"", nil},
+		{"-quick", []lineFlag{{"quick", nil}}},
+		{"-seeds 4 -telemetry", []lineFlag{{"seeds", []string{"4"}}, {"telemetry", nil}}},
+		{"-out - -quiet", []lineFlag{{"out", []string{"-"}}, {"quiet", nil}}},
+		{"-faults=bot-hostile -x", []lineFlag{{"faults", []string{"bot-hostile"}}, {"x", nil}}},
+		{"--adversary strict", []lineFlag{{"adversary", []string{"strict"}}}},
+		{"-type script a.js -", []lineFlag{{"type", []string{"script"}}}},
+		{"-faults=", []lineFlag{{"faults", []string{""}}}},
+	} {
+		got := commandLineFlags(strings.Fields(tc.line))
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("commandLineFlags(%q) = %v, want %v", tc.line, got, tc.want)
+		}
+	}
+}
+
 // TestReadmeNamesRealFlagsAndProfiles keeps the README honest: a flag
 // on a `go run ./cmd/NAME` line must be declared by cmd/NAME, a flag
 // quoted inline (`-flag ...`) by some command, and every fault profile,
@@ -79,17 +132,11 @@ func TestReadmeNamesRealFlagsAndProfiles(t *testing.T) {
 			t.Errorf("README runs ./cmd/%s, which does not exist", cmd)
 			continue
 		}
-		for i, a := range args {
-			if !strings.HasPrefix(a, "-") {
-				continue
+		for _, f := range commandLineFlags(args) {
+			if !flags[cmd][f.name] {
+				t.Errorf("README passes -%s to cmd/%s, which declares no such flag", f.name, cmd)
 			}
-			name := strings.TrimLeft(a, "-")
-			if !flags[cmd][name] {
-				t.Errorf("README passes -%s to cmd/%s, which declares no such flag", name, cmd)
-			}
-			if i+1 < len(args) {
-				checkValues(name, args[i+1:i+2])
-			}
+			checkValues(f.name, f.values)
 		}
 	}
 

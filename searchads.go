@@ -37,7 +37,7 @@
 // # Sharded analysis
 //
 // The analysis fold shards across cores. Nothing changes for existing
-// callers — reports stay byte-identical — but three new levers exist:
+// callers — reports stay byte-identical — and three levers exist:
 //
 //   - Config.Parallel now parallelises Analyze/AnalyzeWith too. A
 //     live crawl folds on the crawl's own worker pool, one Accumulator
@@ -55,8 +55,8 @@
 //     embedded defaults, which are process-wide singletons as of v2.1);
 //     mismatches fail with ErrOptionsMismatch.
 //
-// Sweeps gain SweepOptions.AnalysisShards for the same per-cell split
-// when the machine has more cores than the matrix has cells.
+// Sweeps have no shard lever: their cells already run concurrently on
+// the sweep pool, so each cell folds its stream into one Accumulator.
 package searchads
 
 import (

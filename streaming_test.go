@@ -164,48 +164,6 @@ func mustJSON(t *testing.T, r *searchads.Report) []byte {
 	return j
 }
 
-// TestSweepAnalysisShardsByteIdentical: a sweep with intra-cell
-// analysis sharding produces the same result JSON as the sequential
-// per-cell fold.
-func TestSweepAnalysisShardsByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	m := searchads.SweepMatrix{
-		Seeds:            []int64{1, 2},
-		EngineSets:       [][]string{{searchads.Bing, searchads.DuckDuckGo}},
-		QueriesPerEngine: 4,
-	}
-	filter := searchads.DefaultFilterEngine()
-	plain, err := searchads.Sweep(ctx, m, searchads.SweepOptions{Parallel: 1, Filter: filter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := searchads.Sweep(ctx, m, searchads.SweepOptions{Parallel: 1, AnalysisShards: 3, Filter: filter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := plain.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := sharded.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Peak retention may legitimately differ (a sharded cell holds up to
-	// 2·AnalysisShards+1 iterations: one buffered per shard channel, one
-	// folding per shard, one in the consumer's hand); everything else
-	// must not.
-	if sharded.PeakRetainedIterations > sharded.Parallelism*(2*3+1) {
-		t.Fatalf("sharded peak retention %d exceeds parallelism*(2*shards+1)", sharded.PeakRetainedIterations)
-	}
-	plain.PeakRetainedIterations, sharded.PeakRetainedIterations = 0, 0
-	j1b, _ := plain.JSON()
-	j2b, _ := sharded.JSON()
-	if !bytes.Equal(j1b, j2b) {
-		t.Fatalf("sharded sweep result differs from sequential:\n%s\n---\n%s", j1, j2)
-	}
-}
-
 // TestIterationsReplaysCachedDataset: after Crawl, the stream replays
 // the cached dataset (same pointers, dataset order) instead of
 // re-crawling.

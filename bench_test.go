@@ -6,11 +6,12 @@
 //
 //	go test -run '^$' -bench . -benchmem -v
 //
-// Three performance gates live here too: BenchmarkDisarmed holds chaos
+// Four performance gates live here too: BenchmarkDisarmed holds chaos
 // faults, the adversary, checkpointing and telemetry to costing nothing,
-// in time or allocations, when they are off, and TestCrawlAllocations
-// and TestFoldAllocations cap the allocations of the crawl and of the
-// §4 fold. End-to-end and per-layer
+// in time or allocations, when they are off, and TestCrawlAllocations,
+// TestFoldAllocations and TestMergeAllocations cap the allocations of
+// the crawl, of the §4 fold and of a sharded fold's merge tail.
+// End-to-end and per-layer
 // performance numbers come from the cmd/bench harness
 // (bash cmd/bench/run.sh), not from these benches.
 package searchads_test
@@ -697,6 +698,60 @@ func TestFoldAllocations(t *testing.T) {
 	if allocs > foldAllocsCeiling {
 		t.Errorf("fold of %d iterations made %.0f allocs, above the ceiling of %d",
 			len(ds.Iterations), allocs, foldAllocsCeiling)
+	}
+}
+
+// mergeAllocsCeiling caps the heap objects the tail of a sharded fold
+// allocates: the shared bench crawl split into per-engine accumulators,
+// then analysis.ReportShards warms, merges and reports them. The least
+// of five tails made 887–895 (Go 1.24, linux/amd64, alone and in the
+// full suite; the same tail with the per-chain merge it replaced made
+// 19,462); the ceiling is 895 plus 0.5%. When a change cuts the tail's
+// allocations, lower the constant to the new count plus 0.5%.
+const mergeAllocsCeiling = 899
+
+// TestMergeAllocations holds the sharded fold's tail (classifier
+// warm-up, merge, Report) to mergeAllocsCeiling allocations, the way
+// TestFoldAllocations holds the fold. A -race build counts differently,
+// so there the count is only logged.
+func TestMergeAllocations(t *testing.T) {
+	ds, _ := benchSetup(t)
+	opts := searchads.AnalysisOptions{Filter: searchads.DefaultFilterEngine(), Entities: searchads.DefaultEntities()}
+	tail := func() uint64 {
+		var accs []*analysis.Accumulator
+		byEngine := map[string]*analysis.Accumulator{}
+		for i, it := range ds.Iterations {
+			acc := byEngine[it.Engine]
+			if acc == nil {
+				acc = analysis.NewAccumulator(opts)
+				byEngine[it.Engine] = acc
+				accs = append(accs, acc)
+			}
+			acc.AddAt(it, i)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := analysis.ReportShards(accs)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Funnel.TotalTokens == 0 || len(rep.EngineOrder) != len(accs) {
+			t.Fatalf("merged report has %d tokens and %d engines", rep.Funnel.TotalTokens, len(rep.EngineOrder))
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	// The count varies by a few allocations with the maps' random hash
+	// seeds; the least of a few tails is the stable figure.
+	tail() // the first tail in a process also fills process-wide memos
+	allocs := tail()
+	for range 4 {
+		allocs = min(allocs, tail())
+	}
+	t.Logf("tail over the per-engine shards of %d iterations: %d allocs (ceiling %d, race detector %v)", len(ds.Iterations), allocs, mergeAllocsCeiling, raceEnabled)
+	if allocs > mergeAllocsCeiling && !raceEnabled {
+		t.Errorf("tail made %d allocs, above the ceiling of %d", allocs, mergeAllocsCeiling)
 	}
 }
 

@@ -72,6 +72,9 @@ type Accumulator struct {
 	// originSites memoises localStorage origin → registrable site; the
 	// few distinct origins recur every iteration.
 	originSites map[string]string
+
+	// freshScratch lists the groups a mergeGroups call adds.
+	freshScratch []freshGroup
 }
 
 type kvPair struct{ k, v string }
@@ -134,7 +137,10 @@ func (a *Accumulator) AddAt(it *crawler.Iteration, seq int) {
 		a.engines[it.Engine] = e
 		a.order = append(a.order, it.Engine)
 	} else if seq < e.firstSeen {
+		// An earlier iteration also decides the engine's site, as the
+		// sequential fold's first Add would have (Merge does the same).
 		e.firstSeen = seq
+		e.site = engineAccSite(it)
 	}
 
 	e.queries++

@@ -187,32 +187,36 @@ func AnalyzeWith(ds *crawler.Dataset, opts Options) *Report {
 
 // AnalyzeSharded is AnalyzeWith with the fold partitioned into
 // contiguous shards executed on their own goroutines and merged — the
-// multi-core form of the analysis. The report is byte-identical to
-// AnalyzeWith for every shard count (rendered and JSON forms alike):
-// Accumulator.Merge reconstructs the sequential fold's state exactly.
-// Cancelling ctx stops every shard within one iteration and returns
-// ctx's error (matching the per-iteration cancellation granularity of
-// the streaming fold).
+// multi-core form of the analysis: FoldSharded, then ReportShards. The
+// report is byte-identical to AnalyzeWith for every shard count
+// (rendered and JSON forms alike): Accumulator.Merge reconstructs the
+// sequential fold's state exactly. Cancelling ctx stops every shard
+// within one iteration and returns ctx's error (matching the
+// per-iteration cancellation granularity of the streaming fold).
 func AnalyzeSharded(ctx context.Context, ds *crawler.Dataset, opts Options, shards int) (*Report, error) {
+	accs, err := FoldSharded(ctx, ds, opts, shards)
+	if err != nil {
+		return nil, err
+	}
+	return ReportShards(accs)
+}
+
+// FoldSharded folds the dataset in contiguous ranges, one accumulator
+// per range, each on its own goroutine, and returns the accumulators in
+// range order for ReportShards. The shard count is clamped to
+// [1, len(ds.Iterations)]. Cancelling ctx stops every shard within one
+// iteration and returns ctx's error.
+func FoldSharded(ctx context.Context, ds *crawler.Dataset, opts Options, shards int) ([]*Accumulator, error) {
 	n := len(ds.Iterations)
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return AnalyzeWith(ds, opts), nil
-	}
+	shards = max(1, min(shards, n))
 	opts = opts.withDefaults()
 	accs := make([]*Accumulator, shards)
 	var wg sync.WaitGroup
-	for k := 0; k < shards; k++ {
-		start := k * n / shards
-		end := (k + 1) * n / shards
+	for k := range accs {
+		start, end := k*n/shards, (k+1)*n/shards
 		accs[k] = NewAccumulator(opts)
 		wg.Add(1)
-		go func(acc *Accumulator, start, end int) {
+		go func(acc *Accumulator) {
 			defer wg.Done()
 			for i := start; i < end; i++ {
 				if ctx.Err() != nil {
@@ -220,18 +224,64 @@ func AnalyzeSharded(ctx context.Context, ds *crawler.Dataset, opts Options, shar
 				}
 				acc.AddAt(ds.Iterations[i], i)
 			}
-		}(accs[k], start, end)
+		}(accs[k])
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for k := 1; k < shards; k++ {
-		if err := accs[0].Merge(accs[k]); err != nil {
+	return accs, nil
+}
+
+// ReportShards is the tail of every sharded fold: it warms each shard's
+// classifier heuristics on its own goroutine (tokens.Accumulator.Warm),
+// merges the shards into the one holding the most iterations, and
+// returns that merged report. When the shards AddAt-folded a partition
+// of one stream, the report is byte-identical to the sequential fold's,
+// and the merged Report computes no heuristics: the warm-up ran them
+// in parallel. nil shards are skipped; with none left the report is of
+// the empty stream. The merge target is left holding the whole stream;
+// the other shards are unchanged apart from their warmed memo.
+func ReportShards(shards []*Accumulator) (*Report, error) {
+	var live []*Accumulator
+	for _, acc := range shards {
+		if acc != nil {
+			live = append(live, acc)
+		}
+	}
+	switch len(live) {
+	case 0:
+		// An empty fold's report does not depend on its options.
+		return NewAccumulator(Options{}).Report(), nil
+	case 1:
+		return live[0].Report(), nil
+	}
+	var wg sync.WaitGroup
+	for _, acc := range live[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			acc.tokens.Warm()
+		}()
+	}
+	live[0].tokens.Warm()
+	wg.Wait()
+
+	dst := live[0]
+	for _, acc := range live[1:] {
+		if acc.count > dst.count {
+			dst = acc
+		}
+	}
+	for _, acc := range live {
+		if acc == dst {
+			continue
+		}
+		if err := dst.Merge(acc); err != nil {
 			return nil, err
 		}
 	}
-	return accs[0].Report(), nil
+	return dst.Report(), nil
 }
 
 // IsUserID exposes the classifier verdict for a value. It resolves the

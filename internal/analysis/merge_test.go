@@ -185,16 +185,7 @@ func TestAnalyzeShardedByteIdentical(t *testing.T) {
 // own-site cookie filter depends on it. Regression test for a Merge
 // divergence where each shard filtered against its local first host.
 func TestMergeVaryingEngineHost(t *testing.T) {
-	its := []*crawler.Iteration{
-		{
-			Engine: "bing", EngineHost: "www.bing.com", Instance: "i0",
-			SERPCookies: []crawler.CookieRecord{{Domain: "tracker.example", Name: "uid", Value: "Zx9hQ27pLmT4vKwB"}},
-		},
-		{
-			Engine: "bing", EngineHost: "tracker.example", Instance: "i1",
-			SERPCookies: []crawler.CookieRecord{{Domain: "tracker.example", Name: "uid", Value: "Zx9hQ27pLmT4vKwB"}},
-		},
-	}
+	its := varyingHostIterations()
 	seq := NewAccumulator(Options{})
 	for i, it := range its {
 		seq.AddAt(it, i)
@@ -220,6 +211,74 @@ func TestMergeVaryingEngineHost(t *testing.T) {
 	// user IDs.
 	if seq.Report().Before["bing"].StoresUserIDs {
 		t.Fatal("own-site filter leaked a foreign-site cookie")
+	}
+}
+
+// varyingHostIterations are two bing iterations whose EngineHost
+// differs, both with a SERP cookie on the second one's host. The second
+// also stores the cookie, so the classifier sees its value in one
+// instance only and calls it a user ID.
+func varyingHostIterations() []*crawler.Iteration {
+	uid := []crawler.CookieRecord{{Domain: "tracker.example", Name: "uid", Value: "Zx9hQ27pLmT4vKwB"}}
+	return []*crawler.Iteration{
+		{Engine: "bing", EngineHost: "www.bing.com", Instance: "i0", SERPCookies: uid},
+		{Engine: "bing", EngineHost: "tracker.example", Instance: "i1", SERPCookies: uid, Cookies: uid},
+	}
+}
+
+// TestAddAtOutOfOrderByteIdentical: one accumulator that receives an
+// engine's iterations out of stream order takes the engine's site from
+// the earliest, as the sequential fold does. Regression test for AddAt
+// lowering firstSeen but keeping the later iteration's site, which
+// reported bing as storing user IDs under tracker.example's cookie.
+func TestAddAtOutOfOrderByteIdentical(t *testing.T) {
+	its := varyingHostIterations()
+	seq := NewAccumulator(Options{})
+	for i, it := range its {
+		seq.AddAt(it, i)
+	}
+	acc := NewAccumulator(Options{})
+	acc.AddAt(its[1], 1)
+	acc.AddAt(its[0], 0)
+	if acc.Report().Before["bing"].StoresUserIDs {
+		t.Fatal("out-of-order AddAt kept the later iteration's engine site")
+	}
+	if !bytes.Equal(reportBytes(t, acc.Report()), reportBytes(t, seq.Report())) {
+		t.Fatal("out-of-order AddAt report differs from the sequential fold")
+	}
+}
+
+// TestMergeThenFoldMatchesSequential holds Merge to its contract: every
+// merged-from shard reports the same bytes after the merge as before,
+// and iterations folded into the merge target afterwards — appends to
+// state the merge copied in — still give the sequential report.
+func TestMergeThenFoldMatchesSequential(t *testing.T) {
+	_, ds := report(t)
+	want := reportBytes(t, AnalyzeWith(ds, Options{}))
+	head := 2 * len(ds.Iterations) / 3
+	accs := []*Accumulator{NewAccumulator(Options{}), NewAccumulator(Options{}), NewAccumulator(Options{})}
+	for i, it := range ds.Iterations[:head] {
+		accs[i%len(accs)].AddAt(it, i)
+	}
+	before := make([][]byte, len(accs))
+	for k, acc := range accs {
+		before[k] = reportBytes(t, acc.Report())
+	}
+	for _, acc := range accs[1:] {
+		if err := accs[0].Merge(acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, acc := range accs[1:] {
+		if !bytes.Equal(reportBytes(t, acc.Report()), before[k+1]) {
+			t.Fatalf("Merge changed shard %d's report", k+1)
+		}
+	}
+	for i := head; i < len(ds.Iterations); i++ {
+		accs[0].AddAt(ds.Iterations[i], i)
+	}
+	if !bytes.Equal(reportBytes(t, accs[0].Report()), want) {
+		t.Fatal("folding after a merge differs from the sequential fold")
 	}
 }
 

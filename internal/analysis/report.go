@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"searchads/internal/intern"
 	"searchads/internal/tokens"
 )
 
@@ -212,9 +213,11 @@ func anyUserIDAt(ids []uint32, cls *tokens.Result) bool {
 // holds exactly the state of a single accumulator that folded both
 // input streams (AddAt sequence numbers decide first-seen engine
 // order; every other aggregate is a partition-invariant sum, union, or
-// grouped count). The two accumulators intern through different tables;
-// ids are reconciled by string. b is left unchanged and may be
-// discarded.
+// grouped count). The two accumulators intern through different tables:
+// every string of b's table is interned into a's once, in b's id order,
+// and b's ids are translated through that dense slice (see
+// intern.Table.Import), which the classifier fold's merge shares. b is
+// left unchanged and may be discarded.
 //
 // Both sides must have been built with the same Options — compared by
 // identity, like ErrReportCached: the same *filterlist.Engine and
@@ -228,8 +231,8 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 	if a.filter != b.filter || a.ents != b.ents {
 		return ErrOptionsMismatch
 	}
-	a.tokens.Merge(b.tokens)
-	remap := func(id uint32) uint32 { return a.tab.ID(b.tab.Str(id)) }
+	x := a.tab.Import(b.tab)
+	a.tokens.MergeTranslated(b.tokens, x)
 	for _, name := range b.order {
 		be := b.engines[name]
 		ae := a.engines[name]
@@ -244,7 +247,7 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 			ae.firstSeen = be.firstSeen
 			ae.site = be.site
 		}
-		a.mergeEngine(ae, be, remap)
+		a.mergeEngine(ae, be, x)
 	}
 	a.count += b.count
 	if b.next > a.next {
@@ -253,7 +256,9 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 	return nil
 }
 
-func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32) {
+// mergeEngine folds src's engine state into dst, translating src's ids
+// through x (a's id for each of b's ids).
+func (a *Accumulator) mergeEngine(dst, src *engineAcc, x []uint32) {
 	dst.queries += src.queries
 	for cls, c := range src.failures {
 		dst.failures[cls] += c
@@ -262,38 +267,39 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 		dst.outcomes[o] += c
 	}
 	for id := range src.dests {
-		dst.dests[remap(id)] = struct{}{}
+		dst.dests[x[id]] = struct{}{}
 	}
 	for id := range src.paths {
-		dst.paths[remap(id)] = struct{}{}
+		dst.paths[x[id]] = struct{}{}
 	}
 
 	dst.serpTotal += src.serpTotal
 	dst.serpTracker += src.serpTracker
 	for nv := range src.uidCookieCands {
-		dst.uidCookieCands[[3]uint32{remap(nv[0]), remap(nv[1]), remap(nv[2])}] = struct{}{}
+		dst.uidCookieCands[[3]uint32{x[nv[0]], x[nv[1]], x[nv[2]]}] = struct{}{}
 	}
 
 	dst.clicks += src.clicks
 	for id, c := range src.pathCounts {
-		dst.pathCounts[remap(id)] += c
+		dst.pathCounts[x[id]] += c
 	}
 	dst.redirHist = addHist(dst.redirHist, src.redirHist)
 	dst.navTracking += src.navTracking
 	for id, c := range src.orgCounts {
-		dst.orgCounts[remap(id)] += c
+		dst.orgCounts[x[id]] += c
 	}
 	for id, c := range src.redirectorOccurrences {
-		dst.redirectorOccurrences[remap(id)] += c
+		dst.redirectorOccurrences[x[id]] += c
 	}
 	dst.totalOccurrences += src.totalOccurrences
 	dst.uidClickLens = append(dst.uidClickLens, src.uidClickLens...)
+	dst.uidClickPairs = slices.Grow(dst.uidClickPairs, len(src.uidClickPairs))
 	for _, pr := range src.uidClickPairs {
 		dst.uidClickPairs = append(dst.uidClickPairs,
-			uint64(remap(uint32(pr>>32)))<<32|uint64(remap(uint32(pr))))
+			uint64(x[uint32(pr>>32)])<<32|uint64(x[uint32(pr)]))
 	}
 	for kid, sb := range src.beacons {
-		nid := remap(kid)
+		nid := x[kid]
 		db := dst.beacons[nid]
 		if db == nil {
 			db = &beaconAcc{s: BeaconSummary{Endpoint: a.tab.Str(nid)}, valueSets: make(map[string]*idGroup)}
@@ -303,16 +309,16 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 		db.s.CarriesDestURL = db.s.CarriesDestURL || sb.s.CarriesDestURL
 		db.s.CarriesQuery = db.s.CarriesQuery || sb.s.CarriesQuery
 		db.s.CarriesPosition = db.s.CarriesPosition || sb.s.CarriesPosition
-		a.mergeGroups(db.valueSets, sb.valueSets, remap)
+		a.mergeGroups(db.valueSets, sb.valueSets, x)
 	}
 
 	dst.pagesWithTrackers += src.pagesWithTrackers
 	for id := range src.distinctTrackers {
-		dst.distinctTrackers[remap(id)] = struct{}{}
+		dst.distinctTrackers[x[id]] = struct{}{}
 	}
 	dst.perPageHist = addHist(dst.perPageHist, src.perPageHist)
 	for id, c := range src.entityCounts {
-		dst.entityCounts[remap(id)] += c
+		dst.entityCounts[x[id]] += c
 	}
 	dst.entityTotal += src.entityTotal
 	dst.destBlocked += src.destBlocked
@@ -320,14 +326,20 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 	dst.gclid += src.gclid
 	dst.otherEager += src.otherEager
 	dst.anyEager += src.anyEager
+	// Each click's candidates are copied into one arena.
+	n := 0
 	for _, d := range src.otherDeferred {
-		vals := make([]uint32, len(d.values))
-		for i, v := range d.values {
-			vals[i] = remap(v)
-		}
-		dst.otherDeferred = append(dst.otherDeferred, deferredOther{countedAny: d.countedAny, values: vals})
+		n += len(d.values)
 	}
-	a.mergeGroups(dst.referrerCands, src.referrerCands, remap)
+	arena := make([]uint32, n)
+	dst.otherDeferred = slices.Grow(dst.otherDeferred, len(src.otherDeferred))
+	for _, d := range src.otherDeferred {
+		dst.otherDeferred = append(dst.otherDeferred, deferredOther{
+			countedAny: d.countedAny,
+			values:     intern.Translate(&arena, d.values, x),
+		})
+	}
+	a.mergeGroups(dst.referrerCands, src.referrerCands, x)
 	dst.persistedMS += src.persistedMS
 	dst.persistedGC += src.persistedGC
 
@@ -342,15 +354,51 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 }
 
 // mergeGroups folds src's grouped value-id multisets into dst, re-keyed
-// in a's id space: remapped ids re-sort into canonical order, so two
-// shards' sightings of the same value set land in one group.
-func (a *Accumulator) mergeGroups(dst, src map[string]*idGroup, remap func(uint32) uint32) {
+// in a's id space: translated ids re-sort into canonical order, so two
+// shards' sightings of the same value set land in one group. x is
+// injective and src's sets are distinct, so no two of them land in one
+// new group; the groups new to dst are copied into one slab, one id
+// arena and one key string.
+func (a *Accumulator) mergeGroups(dst, src map[string]*idGroup, x []uint32) {
+	n := 0
 	for _, g := range src {
-		a.valScratch = a.valScratch[:0]
-		for _, v := range g.values {
-			a.valScratch = append(a.valScratch, remap(v))
+		n += len(g.values)
+	}
+	ids := make([]uint32, n)
+	keys := slices.Grow(a.keyScratch[:0], 4*n)[:4*n]
+	a.keyScratch = keys
+	fresh := slices.Grow(a.freshScratch[:0], len(src))[:len(src)]
+	a.freshScratch = fresh
+	off, nf := 0, 0
+	for _, g := range src {
+		set := ids[off : off+len(g.values) : off+len(g.values)]
+		for i, v := range g.values {
+			set[i] = x[v]
 		}
-		slices.Sort(a.valScratch)
-		a.groupIDs(dst, a.valScratch, g.count)
+		slices.Sort(set)
+		key := keys[4*off : 4*(off+len(set))]
+		for i, id := range set {
+			key[4*i], key[4*i+1], key[4*i+2], key[4*i+3] = byte(id), byte(id>>8), byte(id>>16), byte(id>>24)
+		}
+		if dg := dst[string(key)]; dg != nil {
+			dg.count += g.count
+		} else {
+			fresh[nf] = freshGroup{off: off, n: len(set), count: g.count}
+			nf++
+		}
+		off += len(set)
+	}
+	if nf == 0 {
+		return
+	}
+	slab := make([]idGroup, nf)
+	keyStr := string(keys)
+	for i, f := range fresh[:nf] {
+		slab[i] = idGroup{values: ids[f.off : f.off+f.n : f.off+f.n], count: f.count}
+		dst[keyStr[4*f.off:4*(f.off+f.n)]] = &slab[i]
 	}
 }
+
+// freshGroup locates one group new to a mergeGroups target: its set at
+// ids[off:off+n] and its key at keys[4*off:4*(off+n)].
+type freshGroup struct{ off, n, count int }

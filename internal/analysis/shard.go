@@ -72,16 +72,11 @@ func (s *StreamSharder) Add(it *crawler.Iteration) {
 	s.next++
 }
 
-// Finish drains the shard goroutines, merges the shards, and returns
-// the report of the whole stream.
+// Finish drains the shard goroutines and returns the report of the
+// whole stream (ReportShards).
 func (s *StreamSharder) Finish() (*Report, error) {
 	s.drain()
-	for k := 1; k < len(s.accs); k++ {
-		if err := s.accs[0].Merge(s.accs[k]); err != nil {
-			return nil, err
-		}
-	}
-	return s.accs[0].Report(), nil
+	return ReportShards(s.accs)
 }
 
 // Abort drains the shard goroutines without producing a report — the

@@ -417,21 +417,23 @@ func (c *Crawler) Engines() []string { return c.cfg.Engines }
 // RunChains crawls every engine chain on the worker pool — whatever
 // Config.Parallel says — and hands each iteration to visit on the
 // worker that crawled it, right after the crawl and before that chain's
-// next iteration is scheduled. chain is the engine's position in
-// Engines; seq is the iteration's position in the dataset order
+// next iteration is scheduled. worker is the pool goroutine's index,
+// below min(GOMAXPROCS, len(Engines())); chain is the engine's position
+// in Engines; seq is the iteration's position in the dataset order
 // Iterations emits (counted from the resume point under Config.Resume).
 //
+// One worker's calls are sequential, so per-worker state needs no lock.
 // Within a chain, visit sees iterations in index order, each call
 // finishing before the next one starts (a happens-before edge), so
-// per-chain state needs no lock; different chains' calls run
-// concurrently. Nothing is buffered: an iteration lives as long as
-// visit holds it.
+// per-chain state needs no lock either; a chain's iterations may land on
+// any worker. Different workers' calls run concurrently. Nothing is
+// buffered: an iteration lives as long as visit holds it.
 //
 // RunChains returns nil once every chain has finished, the config error
 // if the plan is invalid (wrapping ErrUnknownEngine for an unknown
 // engine), or ctx.Err() if the context was canceled first; it returns
 // only after every worker has exited.
-func (c *Crawler) RunChains(ctx context.Context, visit func(chain, seq int, it *Iteration)) error {
+func (c *Crawler) RunChains(ctx context.Context, visit func(worker, chain, seq int, it *Iteration)) error {
 	p, err := c.plan()
 	if err != nil {
 		return err
@@ -460,7 +462,7 @@ func (c *Crawler) streamParallel(ctx context.Context, p *crawlPlan, yield func(*
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	completed := make(chan done, len(p.counts))
-	wait := c.startChains(pctx, p, func(_, seq int, it *Iteration) {
+	wait := c.startChains(pctx, p, func(_, _, seq int, it *Iteration) {
 		select {
 		case completed <- done{seq, it}:
 		case <-pctx.Done():
@@ -518,8 +520,11 @@ func (c *Crawler) streamParallel(ctx context.Context, p *crawlPlan, yield func(*
 // any per-chain visit state need). At most one task per engine is ever
 // outstanding, so the task channel never blocks and
 // min(GOMAXPROCS, engines) workers saturate the available overlap.
-// Once ctx is done, workers pick up no further task and exit.
-func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(chain, seq int, it *Iteration)) (wait func() bool) {
+// visit receives the index of the worker calling it; each worker runs
+// its tasks one at a time. The queue is FIFO and a chain's next task
+// goes to its back, so the chains advance in lockstep and finish
+// together. Once ctx is done, workers pick up no further task and exit.
+func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(worker, chain, seq int, it *Iteration)) (wait func() bool) {
 	// enq timestamps the task's enqueue when telemetry is on (zero
 	// otherwise), so workers can report queue wait vs work time.
 	type task struct {
@@ -553,7 +558,7 @@ func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(chai
 	if chains.Load() == 0 {
 		close(tasks)
 	}
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -568,7 +573,7 @@ func (c *Crawler) startChains(ctx context.Context, p *crawlPlan, visit func(chai
 					if tele != nil && !t.enq.IsZero() {
 						tele.ObserveWall(telemetry.StageQueueWait, time.Since(t.enq)) //lint:allow detclock queue-wait telemetry on the wall clock, never outputs
 					}
-					visit(t.idx, p.base[t.idx]+t.iter-p.start[t.idx], c.runOne(p, t.idx, t.iter))
+					visit(w, t.idx, p.base[t.idx]+t.iter-p.start[t.idx], c.runOne(p, t.idx, t.iter))
 					if t.iter+1 < p.counts[t.idx] {
 						// Never blocks: this chain's slot is free.
 						tasks <- task{t.idx, t.iter + 1, stamp()}

@@ -55,7 +55,8 @@ func TestIterationsMatchesRunDataset(t *testing.T) {
 
 // TestRunChainsMatchesRunDataset: the pool primitive visits every
 // iteration of the dataset exactly once, tagged with its engine's chain
-// index and its dataset position, each chain in index order; config
+// index and its dataset position, each chain in index order, and with a
+// worker index below the pool width whose calls never overlap; config
 // errors and a canceled context come back before any visit.
 func TestRunChainsMatchesRunDataset(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -67,7 +68,14 @@ func TestRunChainsMatchesRunDataset(t *testing.T) {
 	c := New(Config{World: websim.NewWorld(cfg)})
 	got := make([]*Iteration, len(ds.Iterations))
 	last := make([]int, len(c.Engines())) // per chain: last seq visited + 1
-	err = c.RunChains(context.Background(), func(chain, seq int, it *Iteration) {
+	busy := make([]bool, 2)               // per worker: inside a visit
+	err = c.RunChains(context.Background(), func(worker, chain, seq int, it *Iteration) {
+		if worker < 0 || worker >= len(busy) || busy[worker] {
+			t.Errorf("visit on worker %d: outside the pool or overlapping its previous call", worker)
+			return
+		}
+		busy[worker] = true
+		defer func() { busy[worker] = false }()
 		if c.Engines()[chain] != it.Engine || seq < last[chain] || got[seq] != nil {
 			t.Errorf("visit(chain %d, seq %d, %s) out of chain order", chain, seq, it.Instance)
 			return
@@ -90,7 +98,7 @@ func TestRunChainsMatchesRunDataset(t *testing.T) {
 		}
 	}
 
-	visit := func(_, _ int, it *Iteration) { t.Errorf("visited %s", it.Instance) }
+	visit := func(_, _, _ int, it *Iteration) { t.Errorf("visited %s", it.Instance) }
 	if err := New(Config{World: websim.NewWorld(cfg), Engines: []string{"askjeeves"}}).RunChains(context.Background(), visit); !errors.Is(err, ErrUnknownEngine) {
 		t.Fatalf("RunChains(unknown engine) = %v, want ErrUnknownEngine", err)
 	}

@@ -72,3 +72,35 @@ func (t *Table) Str(id uint32) string { return t.strs[id] }
 // Len reports how many distinct strings have been interned. Ids are
 // dense: every id < Len() is valid.
 func (t *Table) Len() int { return len(t.strs) }
+
+// Import interns every string of src into t, in src's id order, and
+// returns the translation: xlate[id] is t's id for src.Str(id). A merge
+// that re-keys state from src's id space into t's builds it once and
+// then translates each id by slice index, so each distinct string is
+// hashed once per merge however many ids name it. t may be src (the
+// identity translation).
+func (t *Table) Import(src *Table) []uint32 {
+	xlate := make([]uint32, len(src.strs))
+	for id, s := range src.strs {
+		xlate[id] = t.ID(s)
+	}
+	return xlate
+}
+
+// Translate copies ids, translated through xlate (an Import result), to
+// the head of *arena, returns that window capped at its length (nil for
+// no ids) and advances *arena past it. Merges copy many small id lists
+// into one arena this way; the cap makes a later append to one list
+// reallocate instead of overwriting the next list's ids. xlate is
+// injective, so distinct ids stay distinct.
+func Translate(arena *[]uint32, ids, xlate []uint32) []uint32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := (*arena)[:len(ids):len(ids)]
+	*arena = (*arena)[len(ids):]
+	for i, id := range ids {
+		out[i] = xlate[id]
+	}
+	return out
+}

@@ -51,3 +51,49 @@ func TestIDsAreDense(t *testing.T) {
 		}
 	}
 }
+
+func TestImport(t *testing.T) {
+	dst, src := New(), New()
+	dst.ID("shared")
+	dst.ID("dst-only")
+	for _, s := range []string{"src-only", "shared", "other"} {
+		src.ID(s)
+	}
+	xlate := dst.Import(src)
+	if len(xlate) != src.Len() {
+		t.Fatalf("len(xlate) = %d, want %d", len(xlate), src.Len())
+	}
+	for id := range xlate {
+		if got, want := dst.Str(xlate[id]), src.Str(uint32(id)); got != want {
+			t.Fatalf("xlate[%d] names %q in dst, want %q", id, got, want)
+		}
+	}
+	if dst.Len() != 4 {
+		t.Fatalf("dst len after import = %d, want 4 (shared string interned once)", dst.Len())
+	}
+	for id, x := range dst.Import(dst) {
+		if x != uint32(id) {
+			t.Fatalf("self-import xlate[%d] = %d, want the identity", id, x)
+		}
+	}
+}
+
+// TestTranslateCapsWindows: each list translated into a shared arena
+// gets a window capped at its length, so appending to one reallocates
+// and leaves the next list's ids alone.
+func TestTranslateCapsWindows(t *testing.T) {
+	xlate := []uint32{10, 11, 12}
+	arena := make([]uint32, 4)
+	first := Translate(&arena, []uint32{0, 1}, xlate)
+	second := Translate(&arena, []uint32{2, 0}, xlate)
+	if Translate(&arena, nil, xlate) != nil || len(arena) != 0 {
+		t.Fatalf("empty list got a window, or the arena was not consumed: %d left", len(arena))
+	}
+	if cap(first) != 2 || first[0] != 10 || first[1] != 11 {
+		t.Fatalf("first = %v (cap %d), want [10 11] capped at 2", first, cap(first))
+	}
+	_ = append(first, 99)
+	if second[0] != 12 || second[1] != 10 {
+		t.Fatalf("append to the first window overwrote the second: %v", second)
+	}
+}

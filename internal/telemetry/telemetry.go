@@ -71,6 +71,10 @@ const (
 	// StageAnalysisFold is one iteration's incremental §4 analysis fold
 	// (Accumulator.Add), as timed by the facade and sweep folds.
 	StageAnalysisFold
+	// StageAnalysisReport is the tail of one facade Analyze, from the
+	// last fold to the finished report: the shards' classifier warm-up
+	// and merge on a Parallel study, then Report.
+	StageAnalysisReport
 	// StageCheckpointWrite is one crash-safe checkpoint write: encoding
 	// the iterations crawled since the previous write, CRC, atomic
 	// temp-file write, fsync, rename, directory fsync.
@@ -88,6 +92,7 @@ var stageNames = [numStages]string{
 	"crawler_iteration",
 	"queue_wait",
 	"analysis_fold",
+	"analysis_report",
 	"checkpoint_write",
 	"sweep_cell",
 }

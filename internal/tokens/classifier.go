@@ -1,10 +1,6 @@
 package tokens
 
-import (
-	"slices"
-
-	"searchads/internal/intern"
-)
+import "searchads/internal/intern"
 
 // Source says where a token was observed.
 type Source string
@@ -266,22 +262,28 @@ func (a *Accumulator) ObserveIDs(key, val, host, inst, src uint32, adIndex int, 
 
 // Merge folds another accumulator's state into a. The two may intern
 // through different tables (shards build their own); ids are reconciled
-// by string. Merging any shard partition of an observation stream
-// yields the state — and therefore the Result — of the unpartitioned
-// fold. b is left unchanged.
+// by string, each distinct string of b's table hashed once
+// (intern.Table.Import). Merging any shard partition of an observation
+// stream yields the state — and therefore the Result — of the
+// unpartitioned fold. b is left unchanged. Heuristic verdicts b has
+// memoised (see Warm) carry over when both sides share a configuration.
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b == nil {
 		return
 	}
-	sameTab := a.tab == b.tab
-	remap := func(id uint32) uint32 {
-		if sameTab {
-			return id
-		}
-		return a.tab.ID(b.tab.Str(id))
+	a.MergeTranslated(b, a.tab.Import(b.tab))
+}
+
+// MergeTranslated is Merge with b's ids already translated into a's
+// table: xlate must be a.Table().Import(b.Table()). A caller that
+// re-keys its own id-keyed state from b's table (the §4 analysis merge)
+// builds the translation once and shares it here.
+func (a *Accumulator) MergeTranslated(b *Accumulator, xlate []uint32) {
+	if b == nil {
+		return
 	}
 	for id, bv := range b.values {
-		nid, inst := remap(id), remap(bv.firstInstance)
+		nid, inst := xlate[id], xlate[bv.firstInstance]
 		if av, ok := a.values[nid]; ok {
 			if !av.multi && (bv.multi || av.firstInstance != inst) {
 				av.multi = true
@@ -291,41 +293,79 @@ func (a *Accumulator) Merge(b *Accumulator) {
 			a.values[nid] = valueState{firstInstance: inst, multi: bv.multi}
 		}
 	}
-	// Both key spaces lead with the instance, so shards that split the
-	// stream by engine or by range rarely share a key: a key new to a
-	// takes b's lists, already distinct, copied at their exact size.
-	for k, bad := range b.adKeys {
-		nk := uint64(remap(uint32(k>>32)))<<32 | uint64(remap(uint32(k)))
-		ad := a.adKeys[nk]
-		if ad == nil {
-			a.adKeys[nk] = &adState{adIdx: slices.Clone(bad.adIdx), vals: remapAll(bad.vals, remap)}
-			continue
-		}
-		for _, ai := range bad.adIdx {
-			ad.adIdx = appendDistinct32(ad.adIdx, ai)
-		}
-		for _, v := range bad.vals {
-			ad.vals = appendDistinct(ad.vals, remap(v))
-		}
-	}
-	for k, bs := range b.sessKeys {
-		nk := sessKey{inst: remap(k.inst), key: remap(k.key), host: remap(k.host), src: remap(k.src)}
-		s := a.sessKeys[nk]
-		if s == nil {
-			a.sessKeys[nk] = &sessState{base: remapAll(bs.base, remap), revisit: remapAll(bs.revisit, remap)}
-			continue
-		}
-		for _, v := range bs.base {
-			s.base = appendDistinct(s.base, remap(v))
-		}
-		for _, v := range bs.revisit {
-			s.revisit = appendDistinct(s.revisit, remap(v))
-		}
-	}
+	a.mergeAdKeys(b, xlate)
+	a.mergeSessKeys(b, xlate)
 	if a.cfg == b.cfg {
 		for id, r := range b.heur {
-			a.heur[remap(id)] = r
+			a.heur[xlate[id]] = r
 		}
+	}
+}
+
+// mergeAdKeys folds b's filter-(ii) contexts into a. Both key spaces
+// lead with the instance, so shards that split the stream by iteration
+// rarely share a key: a key new to a takes a copy of b's lists, already
+// distinct. The copies come from one state slab and one arena per list
+// type, sized for every key of b; each key's lists are capacity-capped
+// windows of the arena, so a later append on a reallocates rather than
+// overwriting the next key's ids.
+func (a *Accumulator) mergeAdKeys(b *Accumulator, xlate []uint32) {
+	nIdx, nVals := 0, 0
+	for _, bad := range b.adKeys {
+		nIdx += len(bad.adIdx)
+		nVals += len(bad.vals)
+	}
+	slab := make([]adState, len(b.adKeys))
+	idxArena := make([]int32, nIdx)
+	valArena := make([]uint32, nVals)
+	used := 0
+	for k, bad := range b.adKeys {
+		nk := uint64(xlate[k>>32])<<32 | uint64(xlate[uint32(k)])
+		if ad := a.adKeys[nk]; ad != nil {
+			for _, ai := range bad.adIdx {
+				ad.adIdx = appendDistinct32(ad.adIdx, ai)
+			}
+			for _, v := range bad.vals {
+				ad.vals = appendDistinct(ad.vals, xlate[v])
+			}
+			continue
+		}
+		ad := &slab[used]
+		used++
+		ad.adIdx = idxArena[:len(bad.adIdx):len(bad.adIdx)]
+		idxArena = idxArena[len(bad.adIdx):]
+		copy(ad.adIdx, bad.adIdx)
+		ad.vals = intern.Translate(&valArena, bad.vals, xlate)
+		a.adKeys[nk] = ad
+	}
+}
+
+// mergeSessKeys folds b's filter-(iii) contexts into a, copying keys
+// new to a into one slab and arena exactly as mergeAdKeys does.
+func (a *Accumulator) mergeSessKeys(b *Accumulator, xlate []uint32) {
+	n := 0
+	for _, bs := range b.sessKeys {
+		n += len(bs.base) + len(bs.revisit)
+	}
+	slab := make([]sessState, len(b.sessKeys))
+	arena := make([]uint32, n)
+	used := 0
+	for k, bs := range b.sessKeys {
+		nk := sessKey{inst: xlate[k.inst], key: xlate[k.key], host: xlate[k.host], src: xlate[k.src]}
+		if s := a.sessKeys[nk]; s != nil {
+			for _, v := range bs.base {
+				s.base = appendDistinct(s.base, xlate[v])
+			}
+			for _, v := range bs.revisit {
+				s.revisit = appendDistinct(s.revisit, xlate[v])
+			}
+			continue
+		}
+		s := &slab[used]
+		used++
+		s.base = intern.Translate(&arena, bs.base, xlate)
+		s.revisit = intern.Translate(&arena, bs.revisit, xlate)
+		a.sessKeys[nk] = s
 	}
 }
 
@@ -335,40 +375,7 @@ func (a *Accumulator) Merge(b *Accumulator) {
 // classification of the larger stream.
 func (a *Accumulator) Result() *Result {
 	n := a.tab.Len()
-	// Filter (ii): keys whose values differ across ad URLs on the same
-	// page mark all their values as ad identifiers.
-	adValues := newBitset(n)
-	for _, ad := range a.adKeys {
-		if len(ad.vals) > 1 && len(ad.adIdx) > 1 {
-			for _, v := range ad.vals {
-				adValues.set(v)
-			}
-		}
-	}
-	// Filter (iii): keys whose value changed between base visit and the
-	// next-day revisit mark those values as session identifiers.
-	sessValues := newBitset(n)
-	for _, s := range a.sessKeys {
-		if len(s.base) == 0 || len(s.revisit) == 0 {
-			continue
-		}
-		changed := false
-		for _, v := range s.base {
-			if !contains(s.revisit, v) {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			for _, v := range s.base {
-				sessValues.set(v)
-			}
-			for _, v := range s.revisit {
-				sessValues.set(v)
-			}
-		}
-	}
-
+	adValues, sessValues := a.contextFlags()
 	res := &Result{
 		TotalTokens: len(a.values),
 		ByReason:    make(map[Reason]int),
@@ -397,6 +404,63 @@ func (a *Accumulator) Result() *Result {
 		res.ByReason[reason]++
 	}
 	return res
+}
+
+// contextFlags runs filters (ii) and (iii) over the retained contexts:
+// the values flagged as ad identifiers and as session identifiers, as
+// bitsets over the table's ids.
+func (a *Accumulator) contextFlags() (adValues, sessValues bitset) {
+	n := a.tab.Len()
+	// Filter (ii): keys whose values differ across ad URLs on the same
+	// page mark all their values as ad identifiers.
+	adValues = newBitset(n)
+	for _, ad := range a.adKeys {
+		if len(ad.vals) > 1 && len(ad.adIdx) > 1 {
+			for _, v := range ad.vals {
+				adValues.set(v)
+			}
+		}
+	}
+	// Filter (iii): keys whose value changed between base visit and the
+	// next-day revisit mark those values as session identifiers.
+	sessValues = newBitset(n)
+	for _, s := range a.sessKeys {
+		if len(s.base) == 0 || len(s.revisit) == 0 {
+			continue
+		}
+		changed := false
+		for _, v := range s.base {
+			if !contains(s.revisit, v) {
+				changed = true
+				break
+			}
+		}
+		if changed {
+			for _, v := range s.base {
+				sessValues.set(v)
+			}
+			for _, v := range s.revisit {
+				sessValues.set(v)
+			}
+		}
+	}
+	return adValues, sessValues
+}
+
+// Warm memoises the heuristic verdict of every value filters (i)–(iii)
+// leave unflagged in this accumulator, so a later Result — of this
+// accumulator or of one it is merged into — finds them computed. Shards
+// warm on their own goroutines before a merge: ad and session contexts
+// lead with the instance, which one iteration owns, so a value flagged
+// in the shard that saw its iteration stays flagged after any merge, and
+// the merged Result runs no heuristics at all. Warm changes no Result.
+func (a *Accumulator) Warm() {
+	adValues, sessValues := a.contextFlags()
+	for id, v := range a.values {
+		if !v.multi && !adValues.has(id) && !sessValues.has(id) {
+			a.heuristicReason(id, a.tab.Str(id))
+		}
+	}
 }
 
 // heuristicReason classifies one value through filter (iv) and the
@@ -429,19 +493,6 @@ func (a *Accumulator) heuristicReason(id uint32, val string) Reason {
 // whole fold however many sightings ask.
 func (a *Accumulator) PassesHeuristicsID(id uint32) bool {
 	return a.heuristicReason(id, a.tab.Str(id)) == ReasonUserID
-}
-
-// remapAll returns ids translated through remap, at their exact size
-// (nil for none). remap is injective, so distinct ids stay distinct.
-func remapAll(ids []uint32, remap func(uint32) uint32) []uint32 {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]uint32, len(ids))
-	for i, id := range ids {
-		out[i] = remap(id)
-	}
-	return out
 }
 
 // appendDistinct appends v if absent. The slices it maintains are one

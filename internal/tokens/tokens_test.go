@@ -425,3 +425,73 @@ func TestIsDictionaryWordNoAllocs(t *testing.T) {
 		t.Errorf("ASCII IsDictionaryWord allocated %.0f times per run, want 0", allocs)
 	}
 }
+
+// TestMergeThenObserveMatchesSequential holds Merge to its contract on
+// the classifier fold: shards split by instance merge into the state of
+// one accumulator that saw every observation, the merged-from shard's
+// Result is unchanged, and observations made on the merge target
+// afterwards — appends to ad and session contexts the merge copied in —
+// still give the sequential Result. Warmed shards leave the merged
+// Result no heuristic to compute.
+func TestMergeThenObserveMatchesSequential(t *testing.T) {
+	corpus := funnelCorpus()
+	var late []Observation
+	for i := 0; i < 50; i++ {
+		inst := fmt.Sprintf("i%d", i)
+		late = append(late,
+			obs("cid", fmt.Sprintf("LateAd%dQq7ZxW", i), inst, 2, false),
+			obs("sess", fmt.Sprintf("SessionC%dFfGg%d", i, i*7), inst, -1, false),
+			obs("uid", fmt.Sprintf("Uid%dKq9ZtP%dv8Lw", i*13, i*11), inst, -1, true),
+		)
+	}
+	seq := NewAccumulator()
+	for _, o := range append(append([]Observation(nil), corpus...), late...) {
+		seq.Observe(o)
+	}
+	want := seq.Result()
+
+	a, b := NewAccumulator(), NewAccumulator()
+	for _, o := range corpus {
+		n, _ := strconv.Atoi(strings.TrimPrefix(o.Instance, "i"))
+		if n%2 == 0 {
+			a.Observe(o)
+		} else {
+			b.Observe(o)
+		}
+	}
+	a.Warm()
+	b.Warm()
+	bBefore := b.Result()
+	a.Merge(b)
+	memo := len(a.heur)
+	merged := a.Result()
+	if len(a.heur) != memo {
+		t.Errorf("merged Result ran heuristics for %d values the warm-up left out", len(a.heur)-memo)
+	}
+	bAfter := b.Result()
+	if !maps.Equal(bAfter.ByReason, bBefore.ByReason) || bAfter.TotalTokens != bBefore.TotalTokens {
+		t.Fatalf("Merge changed its source: funnel %v, was %v", bAfter.ByReason, bBefore.ByReason)
+	}
+	for _, o := range corpus {
+		if bAfter.ReasonFor(o.Value) != bBefore.ReasonFor(o.Value) {
+			t.Fatalf("Merge changed its source's verdict for %q", o.Value)
+		}
+	}
+	if merged.TotalTokens != Classify(corpus).TotalTokens {
+		t.Fatalf("merged TotalTokens = %d, want %d", merged.TotalTokens, Classify(corpus).TotalTokens)
+	}
+
+	for _, o := range late {
+		a.Observe(o)
+	}
+	got := a.Result()
+	if !maps.Equal(got.ByReason, want.ByReason) || got.TotalTokens != want.TotalTokens {
+		t.Fatalf("merge then observe: funnel %d %v, sequential %d %v",
+			got.TotalTokens, got.ByReason, want.TotalTokens, want.ByReason)
+	}
+	for _, o := range append(corpus, late...) {
+		if got.ReasonFor(o.Value) != want.ReasonFor(o.Value) {
+			t.Fatalf("merge then observe: %q = %q, sequential %q", o.Value, got.ReasonFor(o.Value), want.ReasonFor(o.Value))
+		}
+	}
+}

@@ -41,9 +41,11 @@
 //
 //   - Config.Parallel now parallelises Analyze/AnalyzeWith too. A
 //     live crawl folds on the crawl's own worker pool, one Accumulator
-//     per engine chain merged in engine order (an ordered single fold
-//     when a Sink is set); a cached dataset folds in one contiguous
-//     range per core. Both merge into the sequential report's bytes.
+//     per pool worker (an ordered single fold when a Sink is set); a
+//     cached dataset folds in one contiguous range per core. Each
+//     shard then warms its classifier verdicts on its own goroutine
+//     before the shards merge, and the merged report has the
+//     sequential report's bytes.
 //   - AnalyzeDatasetSharded(ds, shards) is the explicit dataset form.
 //   - Hand-rolled consumers shard with the Accumulator primitives:
 //     give each worker its own NewAccumulator(opts) built from one
@@ -532,13 +534,17 @@ func (s *Study) Analyze(ctx context.Context) (*Report, error) {
 // touched.
 //
 // When the study is Parallel, the fold runs on the cores too. A live
-// crawl folds on the crawl's own worker pool: one Accumulator per
-// engine chain, fed by the worker that crawled each iteration, then
-// merged in engine order (Accumulator.Merge) — no iteration waits in a
-// reorder buffer. A cached dataset folds in GOMAXPROCS contiguous
-// ranges. A Sink set on the study keeps its stream-order contract, so
-// its live crawl folds the ordered stream into one accumulator. The
-// report is byte-identical to the sequential fold in every case.
+// crawl folds on the crawl's own worker pool: one Accumulator per pool
+// worker, fed every iteration that worker crawled — no iteration waits
+// in a reorder buffer. A cached dataset folds in GOMAXPROCS contiguous
+// ranges. Either way each shard runs its classifier heuristics on its
+// own goroutine before the shards merge (Accumulator.Merge), so only
+// the merge and Report stay serial. A Sink set on the study keeps its
+// stream-order contract, so its live crawl folds the ordered stream
+// into one accumulator. The report is byte-identical to the sequential
+// fold in every case. With Telemetry attached, the fold records one
+// analysis_fold sample per iteration and the tail after the last fold
+// (warm-up, merge, Report) one analysis_report sample.
 func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report, error) {
 	if s.report != nil {
 		if opts != s.reportOpts {
@@ -550,8 +556,12 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 	var err error
 	switch {
 	case s.cfg.Parallel && s.dataset != nil:
-		report, err = analysis.AnalyzeSharded(ctx, s.dataset, opts, runtime.GOMAXPROCS(0))
-		err = wrapCanceled(err)
+		var accs []*analysis.Accumulator
+		accs, err = analysis.FoldSharded(ctx, s.dataset, opts, runtime.GOMAXPROCS(0))
+		if err != nil {
+			return nil, wrapCanceled(err)
+		}
+		report, err = s.finish(accs)
 	case s.cfg.Parallel && s.cfg.Sink == nil:
 		report, err = s.analyzeChains(ctx, opts)
 	default:
@@ -564,7 +574,7 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 			s.fold(acc, it, seq)
 			seq++
 		}
-		report = acc.Report()
+		report, err = s.finish([]*analysis.Accumulator{acc})
 	}
 	if err != nil {
 		return nil, err
@@ -575,31 +585,43 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 }
 
 // analyzeChains folds a live Parallel crawl on its worker pool
-// (crawler.RunChains): each engine chain's accumulator sees one
-// contiguous, in-order range of the dataset stream, so merging them in
-// chain order yields the sequential fold's bytes however the workers
-// were scheduled.
+// (crawler.RunChains) into one accumulator per pool worker, created on
+// the worker's first iteration. Each iteration is added at its dataset
+// position, so the merged shards yield the sequential fold's bytes
+// however the chains were scheduled across the workers. The chains
+// finish in lockstep, so there is no early chain whose merge could
+// overlap the crawl; per-worker shards instead leave the serial tail
+// one merge of pool-width shards.
 func (s *Study) analyzeChains(ctx context.Context, opts AnalysisOptions) (*Report, error) {
 	if s.cfgErr != nil {
 		return nil, s.cfgErr
 	}
 	c := s.newCrawler()
-	accs := make([]*analysis.Accumulator, len(c.Engines()))
-	for k := range accs {
-		accs[k] = analysis.NewAccumulator(opts)
-	}
-	err := c.RunChains(ctx, func(chain, seq int, it *Iteration) {
-		s.fold(accs[chain], it, seq)
+	accs := make([]*analysis.Accumulator, len(c.Engines())) // the pool is at most one worker per chain
+	err := c.RunChains(ctx, func(worker, _, seq int, it *Iteration) {
+		if accs[worker] == nil {
+			accs[worker] = analysis.NewAccumulator(opts)
+		}
+		s.fold(accs[worker], it, seq)
 	})
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
-	for _, acc := range accs[1:] {
-		if err := accs[0].Merge(acc); err != nil {
-			return nil, err
-		}
+	return s.finish(accs)
+}
+
+// finish runs the analysis tail over the folded shards
+// (analysis.ReportShards), timing it into the study's telemetry when
+// one is attached.
+func (s *Study) finish(accs []*analysis.Accumulator) (*Report, error) {
+	tele := s.cfg.Telemetry
+	if tele == nil {
+		return analysis.ReportShards(accs)
 	}
-	return accs[0].Report(), nil
+	start := time.Now() //lint:allow detclock wall-clock tail timing feeds telemetry percentiles, never outputs
+	rep, err := analysis.ReportShards(accs)
+	tele.ObserveWall(telemetry.StageAnalysisReport, time.Since(start)) //lint:allow detclock wall-clock tail timing feeds telemetry percentiles, never outputs
+	return rep, err
 }
 
 // fold adds one iteration to acc at stream position seq, timing it

@@ -59,10 +59,11 @@ func TestAccumulatorByteIdenticalToAnalyze(t *testing.T) {
 }
 
 // TestAnalyzeShardedByteIdenticalToSequential drives every Parallel
-// analysis fold — the live crawl folded per engine chain on the crawl
+// analysis fold — the live crawl folded per pool worker on the crawl
 // pool, the cached dataset folded in contiguous ranges, and a live crawl
-// with a Sink, which keeps the ordered stream — at GOMAXPROCS 1, 2 and
-// 4, and asserts each report byte-identical to the sequential fold. The
+// with a Sink, which keeps the ordered stream — at GOMAXPROCS 1, 2, 3
+// (three workers over five chains, an uneven split) and 4, and asserts
+// each report byte-identical to the sequential fold. The
 // hostile config arms faults, a strict adversary and the full
 // countermeasure bundle, so breaker sheds and retries run on the pool.
 func TestAnalyzeShardedByteIdenticalToSequential(t *testing.T) {
@@ -94,13 +95,14 @@ func TestAnalyzeShardedByteIdenticalToSequential(t *testing.T) {
 				return r.Render() == wantRendered && bytes.Equal(mustJSON(t, r), wantJSON)
 			}
 
-			for _, procs := range []int{1, 2, 4} {
+			for _, procs := range []int{1, 2, 3, 4} {
 				runtime.GOMAXPROCS(procs)
 				par := tc.cfg
 				par.Parallel = true
 
-				// Live crawl: one accumulator per engine chain, folded on
-				// the crawl's workers and merged in engine order.
+				// Live crawl: one accumulator per pool worker, each fed
+				// whichever chains' iterations its worker crawled, warmed
+				// and merged after the pool drains.
 				tele := searchads.NewTelemetry()
 				live := par
 				live.Telemetry = tele

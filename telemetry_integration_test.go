@@ -118,41 +118,52 @@ func TestTelemetryDoesNotChangeReport(t *testing.T) {
 }
 
 // TestParallelAnalyzeFoldTelemetry pins that a Parallel study records
-// its analysis fold like a sequential one: one analysis_fold sample per
-// crawled iteration, taken on the pool worker that folded it, with the
-// report's bytes unchanged by the attached registry.
+// its analysis like a sequential one: one analysis_fold sample per
+// crawled iteration, taken on the pool worker that folded it, and one
+// analysis_report sample for the tail after the last fold (on a
+// Parallel study, warm-up and merge included), with the report's bytes
+// unchanged by the attached registry.
 func TestParallelAnalyzeFoldTelemetry(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	plain, err := searchads.NewStudy(teleConfig(true, nil)).Analyze(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tele := searchads.NewTelemetry()
-	instrumented, err := searchads.NewStudy(teleConfig(true, tele)).Analyze(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Render() != instrumented.Render() {
-		t.Error("Parallel report text differs with telemetry attached")
-	}
-	plainJSON, err := plain.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	instrJSON, err := instrumented.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(plainJSON) != string(instrJSON) {
-		t.Error("Parallel report JSON differs with telemetry attached")
-	}
-	snap := tele.Snapshot()
-	fold, ok := snap.StageByName("analysis_fold")
-	if !ok {
-		t.Fatal("snapshot has no analysis_fold stage")
-	}
-	if iters := snap.Counter("iterations"); iters == 0 || fold.Wall.Count != iters {
-		t.Errorf("analysis_fold recorded %d folds for %d iterations", fold.Wall.Count, iters)
+	for _, parallel := range []bool{false, true} {
+		plain, err := searchads.NewStudy(teleConfig(parallel, nil)).Analyze(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tele := searchads.NewTelemetry()
+		instrumented, err := searchads.NewStudy(teleConfig(parallel, tele)).Analyze(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Render() != instrumented.Render() {
+			t.Errorf("parallel=%v: report text differs with telemetry attached", parallel)
+		}
+		plainJSON, err := plain.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		instrJSON, err := instrumented.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(plainJSON) != string(instrJSON) {
+			t.Errorf("parallel=%v: report JSON differs with telemetry attached", parallel)
+		}
+		snap := tele.Snapshot()
+		fold, ok := snap.StageByName("analysis_fold")
+		if !ok {
+			t.Fatal("snapshot has no analysis_fold stage")
+		}
+		if iters := snap.Counter("iterations"); iters == 0 || fold.Wall.Count != iters {
+			t.Errorf("parallel=%v: analysis_fold recorded %d folds for %d iterations", parallel, fold.Wall.Count, iters)
+		}
+		tail, ok := snap.StageByName("analysis_report")
+		if !ok {
+			t.Fatal("snapshot has no analysis_report stage")
+		}
+		if tail.Wall.Count != 1 {
+			t.Errorf("parallel=%v: analysis_report recorded %d samples for one Analyze", parallel, tail.Wall.Count)
+		}
 	}
 }
 

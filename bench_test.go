@@ -757,12 +757,14 @@ func TestMergeAllocations(t *testing.T) {
 
 // crawlAllocsCeiling caps the heap objects one crawl of the shared bench
 // study allocates: NewStudy and Crawl of its 400 iterations, world build
-// included. The crawl made 178,462–178,466 (Go 1.24, linux/amd64, alone
-// and in the full suite); the ceiling is 178,464 plus 0.5%, a margin of
-// about two allocations per iteration. When a change cuts the crawl's
+// included. The crawl made 152,933–152,950 (Go 1.24, linux/amd64, alone
+// and in the full suite; the engines' per-campaign ad-template caches
+// vary by a few allocations with their maps' random hash seeds); the
+// ceiling is 152,942 plus 0.5%, a margin of about two allocations per
+// iteration. When a change cuts the crawl's
 // allocations, lower the constant to the new count plus 0.5%, so the
 // next regression is measured from the new floor.
-const crawlAllocsCeiling = 179_356
+const crawlAllocsCeiling = 153_706
 
 // TestCrawlAllocations holds the crawl path — world build, one browser
 // per engine chain Reset between iterations, every request and its

@@ -3,6 +3,8 @@ package adtech
 import (
 	"net/http"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -258,27 +260,88 @@ func TestPoolSelect(t *testing.T) {
 		{ID: "generic2", Landing: urlx.MustParse("https://g2.example/")},
 	}}
 	seed := detrand.New(8)
-	got := pool.Select("buy shoes online", 3, seed)
+	got := pool.Select(nil, "buy shoes online", 3, seed)
 	if len(got) != 3 || got[0].ID != "shoes" {
 		t.Fatalf("select = %v", ids(got))
 	}
 	// Deterministic for the same query.
-	again := pool.Select("buy shoes online", 3, seed)
+	again := pool.Select(nil, "buy shoes online", 3, seed)
 	for i := range got {
 		if got[i].ID != again[i].ID {
 			t.Fatal("selection not deterministic")
 		}
 	}
-	if n := len(pool.Select("anything", 10, seed)); n != 4 {
+	if n := len(pool.Select(nil, "anything", 10, seed)); n != 4 {
 		t.Fatalf("overshoot select = %d", n)
 	}
-	if pool.Select("x", 0, seed) != nil {
-		t.Fatal("n=0 must return nil")
+	if pool.Select(nil, "x", 0, seed) != nil {
+		t.Fatal("n=0 must append nothing")
 	}
 	doms := pool.Domains()
 	if len(doms) != 4 || doms[0] != "g1.example" {
 		t.Fatalf("domains = %v", doms)
 	}
+
+	// Select appends to dst exactly what the two-slice selection
+	// returned — for uppercase and repeated query terms, more terms than
+	// its stack array holds, more than eight matches, and a pool larger
+	// than any caller's buffer — and leaves dst's prefix as it was.
+	keywords := []string{"shoes", "hotel", "bike", "tv"}
+	pool = &Pool{}
+	for i := range 300 {
+		c := &Campaign{ID: "c" + strconv.Itoa(i), Landing: urlx.MustParse("https://c" + strconv.Itoa(i) + ".example/")}
+		if i%3 != 2 {
+			c.Keywords = []string{keywords[i%len(keywords)]}
+		}
+		pool.Campaigns = append(pool.Campaigns, c)
+	}
+	sentinel := &Campaign{ID: "sentinel"}
+	for _, query := range []string{
+		"buy SHOES online",
+		"Shoes shoes SHOES",
+		"cheap hotel bike tv shoes near me now today please",
+		"nothing matches here",
+		"  tv\tbike  ",
+		"",
+	} {
+		for _, n := range []int{1, 4, 12, 299, 300, 301} {
+			want := refSelect(pool, query, n, seed)
+			dst := make([]*Campaign, 1, 4)
+			dst[0] = sentinel
+			got := pool.Select(dst, query, n, seed)
+			if got[0] != sentinel {
+				t.Fatalf("Select(%q, %d) overwrote dst's prefix with %s", query, n, got[0].ID)
+			}
+			if !slices.Equal(got[1:], want) {
+				t.Fatalf("Select(%q, %d)\n got %v\nwant %v", query, n, ids(got[1:]), ids(want))
+			}
+		}
+	}
+}
+
+// refSelect is the selection Select replaced, kept as the reference:
+// matches and filler in two fresh slices, the filler shuffled, the
+// matches first.
+func refSelect(pool *Pool, query string, n int, seed detrand.Source) []*Campaign {
+	if n <= 0 || len(pool.Campaigns) == 0 {
+		return nil
+	}
+	terms := strings.Fields(strings.ToLower(query))
+	var matched, rest []*Campaign
+	for _, c := range pool.Campaigns {
+		if campaignMatches(c, terms) {
+			matched = append(matched, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	g := seed.Derive("select", query).Rand()
+	g.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	out := append(matched, rest...)
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
 }
 
 func ids(cs []*Campaign) []string {

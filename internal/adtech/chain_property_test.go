@@ -114,11 +114,15 @@ var chainHopPool = []string{
 // FuzzBuildChain pins the string chain builder to the url.URL reference
 // for arbitrary hop sequences and landing strings, including landings
 // whose bytes need escaping (%, space, &, +, non-ASCII) at every level.
+// Its template arm wraps the hops' template in an engine-style bounce
+// (a host and path with no hopPaths entry), as the engines' per-campaign
+// templates do, and holds that render to the reference too.
 func FuzzBuildChain(f *testing.F) {
 	f.Add([]byte{0, 1}, "https://shop.example/land?gclid=Cj0K+QjW/x&a=b")
 	f.Add([]byte{3, 2, 6, 7}, "https://shop.example/a b?q=100%&x=ü#frag")
 	f.Add([]byte{}, "https://x.example/")
 	f.Add([]byte{4}, "")
+	f.Add([]byte{1, 7, 0}, "https://x.example/ p+q%2B?r=%zz&s=\xff\x00 ü")
 	f.Fuzz(func(t *testing.T, sel []byte, landing string) {
 		if len(sel) > 8 {
 			sel = sel[:8]
@@ -132,6 +136,12 @@ func FuzzBuildChain(f *testing.F) {
 		want := refBuildChain(hops, &url.URL{Opaque: landing}).String()
 		if got := BuildChain(hops, landing); got != want {
 			t.Fatalf("BuildChain(%q, %q)\n got %q\nwant %q", hops, landing, got, want)
+		}
+		wrapped := &url.URL{Scheme: "https", Host: "search.custom.example", Path: "/go/click"}
+		wrapped.RawQuery = url.Values{NextParam: {want}}.Encode()
+		tmpl := NewChainTemplate(hops).Wrap(wrapped.Host, wrapped.Path)
+		if got := tmpl.Render(landing); got != wrapped.String() {
+			t.Fatalf("wrapped template of %q, landing %q\n got %q\nwant %q", hops, landing, got, wrapped.String())
 		}
 	})
 }

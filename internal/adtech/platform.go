@@ -1,6 +1,7 @@
 package adtech
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,31 +180,43 @@ type Pool struct {
 	Campaigns []*Campaign
 }
 
-// Select returns up to n campaigns for a query: keyword matches first
-// (most specific advertisers), then deterministic filler so a SERP always
-// carries ads, mirroring how broad-match auctions always fill slots.
-func (pool *Pool) Select(query string, n int, seed detrand.Source) []*Campaign {
+// Select appends up to n campaigns for a query to dst and returns the
+// extended slice: keyword matches first (most specific advertisers),
+// then deterministic filler so a SERP always carries ads, mirroring how
+// broad-match auctions always fill slots. The matches and the filler
+// are laid out in dst's spare capacity, the whole pool's worth, before
+// the result is cut to n, so a caller that passes a buffer as large as
+// the pool selects without allocating.
+func (pool *Pool) Select(dst []*Campaign, query string, n int, seed detrand.Source) []*Campaign {
 	if n <= 0 || len(pool.Campaigns) == 0 {
-		return nil
+		return dst
 	}
-	terms := strings.Fields(strings.ToLower(query))
-	matched := make([]*Campaign, 0, 8)
-	rest := make([]*Campaign, 0, len(pool.Campaigns))
+	var termBuf [8]string
+	terms := termBuf[:0]
+	for t := range strings.FieldsSeq(strings.ToLower(query)) {
+		terms = append(terms, t)
+	}
+	// One pass: matches fill the window from the front in pool order,
+	// the filler from the back in reverse; reversing the filler restores
+	// its pool order, which the shuffle below permutes.
+	base := len(dst)
+	dst = slices.Grow(dst, len(pool.Campaigns))[:base+len(pool.Campaigns)]
+	front, back := base, len(dst)
 	for _, c := range pool.Campaigns {
 		if campaignMatches(c, terms) {
-			matched = append(matched, c)
+			dst[front] = c
+			front++
 		} else {
-			rest = append(rest, c)
+			back--
+			dst[back] = c
 		}
 	}
+	rest := dst[front:]
+	slices.Reverse(rest)
 	// Deterministic shuffle of the filler, keyed by the query.
 	g := seed.Derive("select", query).Rand()
 	g.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	out := append(matched, rest...)
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return dst[:base+min(n, len(pool.Campaigns))]
 }
 
 func campaignMatches(c *Campaign, terms []string) bool {

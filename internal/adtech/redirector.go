@@ -7,8 +7,8 @@ package adtech
 
 import (
 	"net/http"
-	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -247,38 +247,61 @@ func HopPath(host string) string {
 	return "/redirect"
 }
 
+// ChainTemplate is a redirect chain with its landing URL left open.
+// Query escaping works byte by byte, so a chain of depth k through
+// hops P1…Pk ("https://host/path?next=" each) is
+// P1 + esc(P2) + … + esc^(k−1)(Pk) + esc^k(landing): a fixed prefix
+// plus the landing escaped once per hop. A template holds that prefix
+// and k; an engine builds one per campaign and renders each ad
+// impression's decorated landing into it in one pass. The zero
+// ChainTemplate has no hops and renders the landing itself.
+type ChainTemplate struct {
+	prefix string
+	depth  int
+}
+
+// NewChainTemplate returns the template of the chain entering hops[0]
+// and bouncing through each hop in order, each at its HopPath.
+func NewChainTemplate(hops []string) ChainTemplate {
+	var t ChainTemplate
+	for i := len(hops) - 1; i >= 0; i-- {
+		t = t.Wrap(hops[i], HopPath(hops[i]))
+	}
+	return t
+}
+
+// Wrap returns t with one more hop outside it: the chain now enters
+// https://host+path and carries t's chain in its NextParam. path goes
+// in verbatim, so it must be a plain path that needs no escaping.
+func (t ChainTemplate) Wrap(host, path string) ChainTemplate {
+	var b strings.Builder
+	b.Grow(len("https://") + len(host) + len(path) + len("?"+NextParam+"=") + urlx.QueryEscapeLen(t.prefix))
+	b.WriteString("https://")
+	b.WriteString(host)
+	b.WriteString(path)
+	b.WriteString("?" + NextParam + "=")
+	urlx.WriteQueryEscapeN(&b, t.prefix, 1)
+	return ChainTemplate{prefix: b.String(), depth: t.depth + 1}
+}
+
+// Render returns the chain's URL for landing, written in one pass into
+// one exactly sized string.
+func (t ChainTemplate) Render(landing string) string {
+	if t.depth == 0 {
+		return landing
+	}
+	var b strings.Builder
+	b.Grow(len(t.prefix) + urlx.QueryEscapeNLen(landing, t.depth))
+	b.WriteString(t.prefix)
+	urlx.WriteQueryEscapeN(&b, landing, t.depth)
+	return b.String()
+}
+
 // BuildChain composes the nested bounce URL for a redirect chain: the
 // returned URL enters hops[0]; each hop's NextParam carries the following
 // hop; the innermost target is the landing URL. An empty hops slice
-// returns the landing URL itself.
-//
-// Levels are built inside out, each into one of two buffers that swap
-// roles: a level escapes the one below it straight out of the other
-// buffer, so the only string made is the result. Chains are rebuilt for
-// all four ads of every SERP render, and the nested next= payload grows
-// with hop depth.
+// returns the landing URL itself. Engines render their ads from
+// per-campaign templates instead of rebuilding every chain.
 func BuildChain(hops []string, landing string) string {
-	if len(hops) == 0 {
-		return landing
-	}
-	last := len(hops) - 1
-	cur := appendHop(nil, hops[last], landing)
-	var spare []byte
-	for i := last - 1; i >= 0; i-- {
-		spare = appendHop(spare[:0], hops[i], cur)
-		cur, spare = spare, cur
-	}
-	return string(cur)
-}
-
-// appendHop appends "https://host/path?next=<escaped next>" to dst,
-// growing it once to the exact length.
-func appendHop[S string | []byte](dst []byte, host string, next S) []byte {
-	path := HopPath(host)
-	dst = slices.Grow(dst, len("https://")+len(host)+len(path)+len("?"+NextParam+"=")+urlx.QueryEscapeLen(next))
-	dst = append(dst, "https://"...)
-	dst = append(dst, host...)
-	dst = append(dst, path...)
-	dst = append(dst, "?"+NextParam+"="...)
-	return urlx.AppendQueryEscape(dst, next)
+	return NewChainTemplate(hops).Render(landing)
 }

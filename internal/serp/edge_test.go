@@ -2,9 +2,13 @@ package serp
 
 import (
 	"net/http"
+	"slices"
+	"strconv"
+	"sync"
 	"testing"
 
 	"searchads/internal/adtech"
+	"searchads/internal/detrand"
 	"searchads/internal/netsim"
 	"searchads/internal/urlx"
 )
@@ -77,6 +81,78 @@ func TestRenderAdsWithoutPool(t *testing.T) {
 	container := e.renderAds("query", "bing-0000")
 	if len(container.Children) != 0 {
 		t.Fatal("pool-less engine rendered ads")
+	}
+}
+
+// TestAdBlockSetAttrKeepsNeighbours: the ad block's elements share one
+// attribute array, and scripts decorate ad links in place. Adding an
+// attribute to the container or to any ad must leave every other
+// element's attributes as they were.
+func TestAdBlockSetAttrKeepsNeighbours(t *testing.T) {
+	_, e := testWorld(t, StartPage)
+	e.Pool.Campaigns = append(e.Pool.Campaigns,
+		&adtech.Campaign{ID: "tv", Landing: urlx.MustParse("https://tv.example/deals"), Stack: []string{"ad.doubleclick.net"}},
+		&adtech.Campaign{ID: "bike", Landing: urlx.MustParse("https://bike.example/"), DirectFromEngine: true},
+	)
+	container := e.renderAds("buy shoes", "startpage-0001")
+	if len(container.Children) != AdsPerSERP {
+		t.Fatalf("rendered %d ads, want %d", len(container.Children), AdsPerSERP)
+	}
+	els := append([]*netsim.Element{container}, container.Children...)
+	keys := []string{"id", "title", "href", "data-landing", "data-ad", "data-pos"}
+	attrs := func() [][]string {
+		var all [][]string
+		for _, el := range els {
+			var vals []string
+			for _, k := range keys {
+				vals = append(vals, el.Attr(k))
+			}
+			all = append(all, vals)
+		}
+		return all
+	}
+	before := attrs()
+	for i, el := range els {
+		el.SetAttr("data-decorated", strconv.Itoa(i))
+	}
+	after := attrs()
+	for i, el := range els {
+		if !slices.Equal(after[i], before[i]) {
+			t.Errorf("element %d: attributes %q became %q after SetAttr on the block", i, before[i], after[i])
+		}
+		if got := el.Attr("data-decorated"); got != strconv.Itoa(i) {
+			t.Errorf("element %d: data-decorated = %q, want %d", i, got, i)
+		}
+	}
+}
+
+// TestAdTemplateMemoConcurrent: renders racing to fill a fresh engine's
+// per-campaign template cache on first use all get the href a
+// sequential render gives.
+func TestAdTemplateMemoConcurrent(t *testing.T) {
+	_, e := testWorld(t, StartPage)
+	var clicks []*adtech.AdClick
+	var want []string
+	for _, c := range e.Pool.Campaigns {
+		click := e.Platform.BuildClick(c, "startpage-0001")
+		clicks = append(clicks, click)
+		want = append(want, e.BuildHref(click))
+	}
+	for range 20 {
+		fresh := NewEngine(e.Spec, e.Platform, e.Pool, nil, detrand.New(1))
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, click := range clicks {
+					if got := fresh.BuildHref(click); got != want[i] {
+						t.Errorf("%s: concurrent first render %q, want %q", click.Campaign.ID, got, want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

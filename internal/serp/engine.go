@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"searchads/internal/adtech"
@@ -93,6 +94,13 @@ type Engine struct {
 	// depend only on (engine, client, serial) — never on how requests
 	// from concurrently-crawled engines interleave.
 	seq detrand.Seq
+
+	// ads caches each campaign's adTemplate (*adtech.Campaign →
+	// *adTemplate), filled on first render. It lives on the engine, not
+	// the campaign: a blueprint's campaigns are shared by every world
+	// instantiated from it. A campaign's fields must not change after
+	// its first render on the engine.
+	ads sync.Map
 }
 
 // NewEngine wires an engine from its parts.
@@ -343,59 +351,96 @@ func organicsBlock() *netsim.Element {
 	return &s.els[0]
 }
 
-// renderAds builds the ads container. Every ad element carries the
-// landing domain ("The landing domains are included within the HTML
-// objects of the advertisements on all search engines", §3.1).
+// adsScaffold is the storage of one page's ad block: the container and
+// its ads, the container's child list, and every element's attributes
+// (the container's id and title pairs, then href, data-landing, data-ad
+// and data-pos per ad).
+type adsScaffold struct {
+	els  [1 + AdsPerSERP]netsim.Element
+	kids [AdsPerSERP]*netsim.Element
+	kv   [4 + 8*AdsPerSERP]string
+}
+
+// adTemplate is what every ad of one campaign shares on one engine: the
+// href's chain template, the engine's bounce wrap included, and the
+// landing domain the ad element carries.
+type adTemplate struct {
+	href   adtech.ChainTemplate
+	domain string
+	text   string // "Ad · " + domain
+}
+
+// adTemplateFor returns c's ad template on e, building it on first use.
+// The href chain enters the engine's own bounce endpoint (if it wraps
+// its ads), then the engine-specific upstream hops, the platform click
+// server and the campaign's ad-tech stack. DirectFromEngine campaigns
+// skip the platform click server entirely (the "qwant.com -
+// destination" and "startpage.com - google.com - destination" paths of
+// Table 2). The template is a pure function of e's Spec, its platform's
+// click host and c's fields, so concurrent first uses store equal
+// values; none of those may change once c has been rendered.
+func (e *Engine) adTemplateFor(c *adtech.Campaign) *adTemplate {
+	if t, ok := e.ads.Load(c); ok {
+		return t.(*adTemplate)
+	}
+	var buf [8]string
+	hops := append(buf[:0], e.Spec.UpstreamHops...)
+	if !c.DirectFromEngine {
+		hops = append(hops, e.Platform.ClickHost)
+	}
+	hops = append(hops, c.Stack...)
+	href := adtech.NewChainTemplate(hops)
+	if e.Spec.WrapOwnAds && e.Spec.BouncePath != "" {
+		host := e.Spec.BounceHost
+		if host == "" {
+			host = e.Spec.Host
+		}
+		// The engine's own bounce endpoint wraps the chain; its path
+		// comes from the Spec, so custom engines work without a
+		// hopPaths entry.
+		href = href.Wrap(host, e.Spec.BouncePath)
+	}
+	domain := c.LandingDomain()
+	t := &adTemplate{href: href, domain: domain, text: "Ad · " + domain}
+	e.ads.Store(c, t)
+	return t
+}
+
+// renderAds builds the ads container in one allocation (beside each
+// ad's click, href and beacons). Every ad element carries the landing
+// domain ("The landing domains are included within the HTML objects of
+// the advertisements on all search engines", §3.1). Scripts decorate
+// ad links in place with SetAttr, so each element's attributes are
+// capped, as in organicsBlock.
 func (e *Engine) renderAds(query, client string) *netsim.Element {
 	title := e.Spec.AdContainerTitle
 	if title == "" {
 		title = "Ads"
 	}
-	container := netsim.NewElement("div", "id", "ads", "title", title)
 	if e.Pool == nil || e.Platform == nil {
-		return container
+		return netsim.NewElement("div", "id", "ads", "title", title)
 	}
-	campaigns := e.Pool.Select(query, AdsPerSERP, e.seed)
-	container.Children = make([]*netsim.Element, 0, len(campaigns))
+	var buf [128]*adtech.Campaign // above every calibrated pool size
+	campaigns := e.Pool.Select(buf[:0], query, AdsPerSERP, e.seed)
+	s := new(adsScaffold)
+	s.kv[0], s.kv[1], s.kv[2], s.kv[3] = "id", "ads", "title", title
+	s.els[0] = netsim.MakeElement("div", s.kv[0:4:4]...)
 	for pos, c := range campaigns {
+		t := e.adTemplateFor(c)
 		click := e.Platform.BuildClick(c, client)
-		el := netsim.NewElement("a",
-			"href", e.buildHref(click),
-			"data-landing", c.LandingDomain(),
-			"data-ad", "1",
-			"data-pos", strconv.Itoa(pos+1),
-		)
-		el.Text = "Ad · " + c.LandingDomain()
+		kv := s.kv[4+8*pos : 12+8*pos : 12+8*pos]
+		kv[0], kv[1] = "href", t.href.Render(click.Landing)
+		kv[2], kv[3] = "data-landing", t.domain
+		kv[4], kv[5] = "data-ad", "1"
+		kv[6], kv[7] = "data-pos", strconv.Itoa(pos+1)
+		el := &s.els[1+pos]
+		*el = netsim.MakeElement("a", kv...)
+		el.Text = t.text
 		if e.Beacons != nil {
 			el.OnClick = e.Beacons(e, query, click, pos+1)
 		}
-		container.Append(el)
+		s.kids[pos] = el
 	}
-	return container
-}
-
-// buildHref composes the full bounce chain for one ad: the engine's own
-// bounce endpoint (if it wraps its ads), engine-specific upstream hops,
-// the platform click server, and the campaign's ad-tech stack.
-// DirectFromEngine campaigns skip the platform click server entirely
-// (the "qwant.com - destination" and "startpage.com - google.com -
-// destination" paths of Table 2).
-func (e *Engine) buildHref(click *adtech.AdClick) string {
-	var buf [8]string
-	hops := append(buf[:0], e.Spec.UpstreamHops...)
-	if !click.Campaign.DirectFromEngine {
-		hops = append(hops, e.Platform.ClickHost)
-	}
-	hops = append(hops, click.Campaign.Stack...)
-	target := adtech.BuildChain(hops, click.Landing)
-	if !e.Spec.WrapOwnAds || e.Spec.BouncePath == "" {
-		return target
-	}
-	host := e.Spec.BounceHost
-	if host == "" {
-		host = e.Spec.Host
-	}
-	// The engine's own bounce endpoint wraps the chain; its path comes
-	// from the Spec, so custom engines work without a hopPaths entry.
-	return "https://" + host + e.Spec.BouncePath + "?" + urlx.EncodeQuery(adtech.NextParam, target)
+	s.els[0].Children = s.kids[:len(campaigns)]
+	return &s.els[0]
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"searchads/internal/adtech"
+	"searchads/internal/detrand"
 	"searchads/internal/serp"
 	"searchads/internal/urlx"
 	"searchads/internal/websim"
@@ -50,15 +51,46 @@ func refBuildHref(e *serp.Engine, click *adtech.AdClick, landing *url.URL) *url.
 	return u
 }
 
-// TestHrefsMatchURLReference pins the string chain and href builders to
-// the url.URL reference for every engine and campaign of a derived world:
-// wrapped and unwrapped engines, direct-from-engine campaigns, and every
-// ad-tech stack the calibration draws.
+// customEngines are the template shapes no calibrated engine has: a
+// bounce path with no hopPaths entry, unwrapped and wrapped, with
+// direct-from-engine campaigns whose stack is empty — hrefs of depth 0
+// (the bare landing) and depth 1 (the landing under the engine's bounce
+// alone).
+func customEngines() []*serp.Engine {
+	seed := detrand.New(11)
+	pool := &adtech.Pool{Campaigns: []*adtech.Campaign{
+		{ID: "direct", Landing: urlx.MustParse("https://shop.example/land?x=1"), DirectFromEngine: true, AutoTag: true},
+		{ID: "plain", Landing: urlx.MustParse("https://plain.example/")},
+		{ID: "stacked", Landing: urlx.MustParse("https://deals.example/a/b"), Stack: []string{"clickserve.dartsearch.net", "6102.xg4ken.com"},
+			AutoTag: true, CrossTagGCLID: true, OtherUIDParam: "irclickid"},
+	}}
+	var engines []*serp.Engine
+	for _, wrap := range []bool{false, true} {
+		spec := serp.Spec{Name: "custom", Host: "search.custom.example", SearchPath: "/s", QueryParam: "q",
+			BouncePath: "/go/click", WrapOwnAds: wrap}
+		engines = append(engines, serp.NewEngine(spec, adtech.MicrosoftAds(seed), pool, adtech.NewRegistry(seed), seed))
+	}
+	return engines
+}
+
+// TestHrefsMatchURLReference pins the string chain builder and the
+// engines' per-campaign href templates to the url.URL reference for
+// every engine and campaign of a derived world — wrapped and unwrapped
+// engines, direct-from-engine campaigns, and every ad-tech stack the
+// calibration draws — and of the custom engines.
 func TestHrefsMatchURLReference(t *testing.T) {
 	w := websim.NewWorld(websim.Config{Seed: 7, QueriesPerEngine: 5})
-	var wrapped, direct, stacked int
+	var engines []*serp.Engine
 	for _, name := range serp.AllEngineNames() {
-		e := w.Engine(name)
+		engines = append(engines, w.Engine(name))
+	}
+	if adtech.HopPath("search.custom.example") == "/go/click" {
+		t.Fatal("the custom engines' bounce path has a hopPaths entry")
+	}
+	engines = append(engines, customEngines()...)
+	var wrapped, direct, stacked, depth0, depth1 int
+	for _, e := range engines {
+		name := e.Spec.Name
 		for _, c := range e.Pool.Campaigns {
 			click := e.Platform.BuildClick(c, name+"-0001")
 			landing, err := url.Parse(click.Landing)
@@ -69,8 +101,15 @@ func TestHrefsMatchURLReference(t *testing.T) {
 			if got, want := adtech.BuildChain(hops, click.Landing), refBuildChain(hops, landing).String(); got != want {
 				t.Fatalf("%s/%s: BuildChain\n got %q\nwant %q", name, c.ID, got, want)
 			}
-			if got, want := e.BuildHref(click), refBuildHref(e, click, landing).String(); got != want {
-				t.Fatalf("%s/%s: buildHref\n got %q\nwant %q", name, c.ID, got, want)
+			href := e.BuildHref(click)
+			if want := refBuildHref(e, click, landing).String(); href != want {
+				t.Fatalf("%s/%s: href\n got %q\nwant %q", name, c.ID, href, want)
+			}
+			switch href {
+			case click.Landing:
+				depth0++
+			case "https://search.custom.example/go/click?next=" + url.QueryEscape(click.Landing):
+				depth1++
 			}
 			if e.Spec.WrapOwnAds {
 				wrapped++
@@ -83,8 +122,9 @@ func TestHrefsMatchURLReference(t *testing.T) {
 			}
 		}
 	}
-	if wrapped == 0 || direct == 0 || stacked == 0 {
-		t.Fatalf("world covers wrapped=%d direct=%d stacked=%d campaigns; want every shape", wrapped, direct, stacked)
+	if wrapped == 0 || direct == 0 || stacked == 0 || depth0 == 0 || depth1 == 0 {
+		t.Fatalf("engines cover wrapped=%d direct=%d stacked=%d depth-0=%d depth-1=%d hrefs; want every shape",
+			wrapped, direct, stacked, depth0, depth1)
 	}
 }
 

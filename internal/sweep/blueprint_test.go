@@ -56,6 +56,34 @@ func TestSweepDerivesOncePerSeed(t *testing.T) {
 	}
 }
 
+// TestSweepReportTelemetryByteIdentical: a sweep with telemetry attached
+// times each cell's analysis Report — exactly one analysis_report
+// sample per cell — and its results are byte-identical to the same
+// sweep run without telemetry.
+func TestSweepReportTelemetryByteIdentical(t *testing.T) {
+	m := gridMatrix()
+	m.Seeds = m.Seeds[:2]
+	tele := telemetry.New()
+	res, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 2, Telemetry: tele})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, ok := tele.Snapshot().StageByName(telemetry.StageAnalysisReport.String())
+	if !ok {
+		t.Fatal("snapshot has no analysis_report stage")
+	}
+	if tail.Wall.Count != uint64(len(res.Cells)) {
+		t.Errorf("analysis_report recorded %d samples for %d cells", tail.Wall.Count, len(res.Cells))
+	}
+	plain, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(deterministicBytes(t, res), deterministicBytes(t, plain)) {
+		t.Fatal("attached telemetry changed sweep output bytes")
+	}
+}
+
 // TestSweepCancelKeepsCellBytes cancels checkpointed sweeps at random
 // iteration points with re-rolled pool widths. Grouped dispatch shares
 // one blueprint across a seed's cells and releases it as soon as the

@@ -513,13 +513,26 @@ func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellRes
 		fold(it)
 		r.trackIteration(-1)
 	}
-	rep := acc.Report()
+	rep := r.report(acc)
 	if r.opts.OnReport != nil {
 		r.mu.Lock()
 		r.opts.OnReport(c, rep)
 		r.mu.Unlock()
 	}
 	return rep, nil
+}
+
+// report runs the cell's analysis Report, timing it into the sweep's
+// telemetry when one is attached.
+func (r *runner) report(acc *analysis.Accumulator) *analysis.Report {
+	tele := r.opts.Telemetry
+	if tele == nil {
+		return acc.Report()
+	}
+	start := time.Now() //lint:allow detclock wall-clock report timing feeds telemetry percentiles, never outputs
+	rep := acc.Report()
+	tele.ObserveWall(telemetry.StageAnalysisReport, time.Since(start)) //lint:allow detclock wall-clock report timing feeds telemetry percentiles, never outputs
+	return rep
 }
 
 // trackIteration maintains the retained-iteration high-water mark: a

@@ -71,9 +71,9 @@ const (
 	// StageAnalysisFold is one iteration's incremental §4 analysis fold
 	// (Accumulator.Add), as timed by the facade and sweep folds.
 	StageAnalysisFold
-	// StageAnalysisReport is the tail of one facade Analyze, from the
-	// last fold to the finished report: the shards' classifier warm-up
-	// and merge on a Parallel study, then Report.
+	// StageAnalysisReport is the tail of one facade Analyze or sweep
+	// cell, from the last fold to the finished report: the shards'
+	// classifier warm-up and merge on a Parallel study, then Report.
 	StageAnalysisReport
 	// StageCheckpointWrite is one crash-safe checkpoint write: encoding
 	// the iterations crawled since the previous write, CRC, atomic

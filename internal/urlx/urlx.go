@@ -444,59 +444,94 @@ func queryByteSafe(b byte) bool {
 }
 
 // QueryEscapeLen returns len(url.QueryEscape(s)) without building it.
-func QueryEscapeLen[S ~string | ~[]byte](s S) int {
-	n := len(s)
+func QueryEscapeLen(s string) int { return QueryEscapeNLen(s, 1) }
+
+// QueryEscapeNLen returns the length of s query-escaped n times, what
+// AppendQueryEscapeN appends, without building it.
+func QueryEscapeNLen(s string, n int) int {
+	if n == 0 {
+		return len(s)
+	}
+	size := len(s)
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; !queryByteSafe(c) && c != ' ' {
-			n += 2
+		switch c := s[i]; {
+		case queryByteSafe(c):
+		case c == ' ':
+			size += 2*n - 2
+		default:
+			size += 2 * n
 		}
 	}
-	return n
+	return size
 }
 
-// AppendQueryEscape appends url.QueryEscape(s) to dst. s may be a byte
-// slice, so a nested redirect URL can escape the level below it
-// straight out of a reused buffer.
-func AppendQueryEscape[S ~string | ~[]byte](dst []byte, s S) []byte {
+// AppendQueryEscapeN appends s query-escaped n times — url.QueryEscape
+// applied n times over — to dst; n = 0 appends s as is. Escaping works
+// byte by byte, so each byte of s has a closed form at depth n: a safe
+// byte stays as it is; a space is "+" at n = 1 and "%" + "25"×(n−2) +
+// "2B" deeper (the '+' escaped, then its '%' escaped again at every
+// further level); any other byte is "%" + "25"×(n−1) + its two hex
+// digits. A nested redirect chain escapes its landing URL once per hop
+// outside it, and writes it in one pass this way.
+func AppendQueryEscapeN(dst []byte, s string, n int) []byte {
+	if n < 0 {
+		panic("urlx: negative escape depth")
+	}
+	if n == 0 {
+		return append(dst, s...)
+	}
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case queryByteSafe(c):
 			dst = append(dst, c)
-		case c == ' ':
+		case c == ' ' && n == 1:
 			dst = append(dst, '+')
+		case c == ' ':
+			dst = appendPercent25(dst, n-2)
+			dst = append(dst, '2', 'B')
 		default:
-			dst = append(dst, '%', upperhex[c>>4], upperhex[c&0xf])
+			dst = appendPercent25(dst, n-1)
+			dst = append(dst, upperhex[c>>4], upperhex[c&0xf])
 		}
 	}
 	return dst
 }
 
-// appendQueryEscape writes url.QueryEscape(s) into b without the
-// intermediate string, escaping through a stack buffer a chunk at a
-// time.
-func appendQueryEscape(b *strings.Builder, s string) {
+// appendPercent25 appends '%' followed by k copies of "25": the escape
+// of a '%' k levels down.
+func appendPercent25(dst []byte, k int) []byte {
+	dst = append(dst, '%')
+	for range k {
+		dst = append(dst, '2', '5')
+	}
+	return dst
+}
+
+// WriteQueryEscapeN writes s query-escaped n times into b, as
+// AppendQueryEscapeN would append it, without an intermediate string:
+// it escapes through a stack buffer a chunk at a time.
+func WriteQueryEscapeN(b *strings.Builder, s string, n int) {
 	var buf [192]byte
+	chunk := max(1, len(buf)/(2*n+1)) // a byte escapes to at most 2n+1
 	for len(s) > 0 {
-		n := min(len(s), len(buf)/3)
-		b.Write(AppendQueryEscape(buf[:0], s[:n]))
-		s = s[n:]
+		k := min(len(s), chunk)
+		b.Write(AppendQueryEscapeN(buf[:0], s[:k], n))
+		s = s[k:]
 	}
 }
 
 // AppendQuery writes "key=value" (query-escaped) into b; it is the
 // zero-intermediate-allocation building block the hot URL constructors
-// (engine search URLs, redirect chains) use instead of url.Values.Encode.
+// (engine search URLs, click beacons) use instead of url.Values.Encode.
 func AppendQuery(b *strings.Builder, key, value string) {
-	appendQueryEscape(b, key)
+	WriteQueryEscapeN(b, key, 1)
 	b.WriteByte('=')
-	appendQueryEscape(b, value)
+	WriteQueryEscapeN(b, value, 1)
 }
 
 // EncodeQuery returns the single escaped "key=value" pair, grown once
-// to its exact length. Redirect-chain construction
-// wraps a full URL as one query pair at every nesting level, so this is
-// the shared spelling for that hot path.
+// to its exact length.
 func EncodeQuery(key, value string) string {
 	var b strings.Builder
 	b.Grow(QueryEscapeLen(key) + 1 + QueryEscapeLen(value))

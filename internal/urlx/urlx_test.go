@@ -221,6 +221,55 @@ func TestAppendQueryMatchesQueryEscape(t *testing.T) {
 	}
 }
 
+// checkQueryEscapeN holds AppendQueryEscapeN, WriteQueryEscapeN and
+// QueryEscapeNLen to n applications of url.QueryEscape.
+func checkQueryEscapeN(t *testing.T, s string, n int) {
+	t.Helper()
+	want := s
+	for range n {
+		want = url.QueryEscape(want)
+	}
+	if got := string(AppendQueryEscapeN([]byte("pre"), s, n)); got != "pre"+want {
+		t.Fatalf("AppendQueryEscapeN(%q, %d) = %q, want %q", s, n, got, "pre"+want)
+	}
+	var b strings.Builder
+	WriteQueryEscapeN(&b, s, n)
+	if b.String() != want {
+		t.Fatalf("WriteQueryEscapeN(%q, %d) = %q, want %q", s, n, b.String(), want)
+	}
+	if got := QueryEscapeNLen(s, n); got != len(want) {
+		t.Fatalf("QueryEscapeNLen(%q, %d) = %d, want %d", s, n, got, len(want))
+	}
+}
+
+// TestQueryEscapeNMatchesRepeatedQueryEscape: escaping at depth n is
+// url.QueryEscape applied n times, at every depth a redirect chain
+// reaches and well past it, over inputs long enough to span
+// WriteQueryEscapeN's chunks.
+func TestQueryEscapeNMatchesRepeatedQueryEscape(t *testing.T) {
+	long := strings.Repeat("a b%c+ü/", 40)
+	for _, s := range []string{
+		"", "plain", "two words", "https://a.example/b?c=d&e=f+g h",
+		"uniçode✓", "a%b", "100%", "~.-_", "+plus+", " ", long,
+	} {
+		for n := range 12 {
+			checkQueryEscapeN(t, s, n)
+		}
+		checkQueryEscapeN(t, s, 100)
+	}
+}
+
+// FuzzQueryEscapeN holds the depth-n escape to n applications of
+// url.QueryEscape for arbitrary bytes and depths up to 16.
+func FuzzQueryEscapeN(f *testing.F) {
+	f.Add("https://shop.example/a b?q=100%&x=ü+y", uint8(3))
+	f.Add("", uint8(0))
+	f.Add(" ", uint8(2))
+	f.Fuzz(func(t *testing.T, s string, n uint8) {
+		checkQueryEscapeN(t, s, int(n%17))
+	})
+}
+
 // TestWithParamAppendSemantics covers the append fast path: fresh keys
 // append in call order without re-encoding the existing query, existing
 // keys are replaced, and the decorated value round-trips through Param.

@@ -8,10 +8,17 @@
 //	report -in dataset.json -experiments > EXPERIMENTS.md
 //	report -seed 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	report -in dataset.json -blockprofile block.pprof -mutexprofile mutex.pprof
+//	report -seed 1 -queries 100 -telemetry  # per-stage latency table on stderr
 //
 // A saved dataset is folded in one contiguous range per core
 // (GOMAXPROCS), the way a Parallel study folds a cached dataset; the
 // report is byte-identical to the sequential fold.
+//
+// -telemetry attaches a telemetry registry to a fresh study and prints
+// its per-stage latency table (the crawl stages, analysis_fold and
+// analysis_report among them) to stderr; the report on stdout is
+// byte-identical with or without it. The sharded fold of a saved
+// dataset records no telemetry yet, so -telemetry with -in exits 2.
 package main
 
 import (
@@ -19,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -28,12 +36,13 @@ import (
 	"searchads"
 	"searchads/internal/analysis"
 	"searchads/internal/profiling"
+	"searchads/internal/workload"
 )
 
 var (
 	in           = flag.String("in", "", "dataset JSON to analyse (empty = run a fresh study)")
 	seed         = flag.Int64("seed", 20221001, "world seed for a fresh study")
-	queries      = flag.Int("queries", 500, "queries per engine for a fresh study")
+	queries      = flag.Int("queries", 500, fmt.Sprintf("queries per engine for a fresh study (at most %d, the size of the query corpus)", workload.Cardinality(workload.Mixed)))
 	engines      = flag.String("engines", "", "comma-separated engines for a fresh study")
 	experiments  = flag.Bool("experiments", false, "emit EXPERIMENTS.md (paper vs measured) instead of the report")
 	asJSON       = flag.Bool("json", false, "emit the report as JSON")
@@ -41,19 +50,24 @@ var (
 	memprofile   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	blockprofile = flag.String("blockprofile", "", "write a pprof blocking profile at exit to this file")
 	mutexprofile = flag.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
+	telemetry    = flag.Bool("telemetry", false, "print a fresh study's per-stage latency table to stderr (not with -in)")
 )
 
 func main() {
 	flag.Parse()
-	os.Exit(run())
+	os.Exit(run(os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(stdout, stderr io.Writer) int {
+	if *telemetry && *in != "" {
+		fmt.Fprintln(stderr, "report: -telemetry needs a fresh study: the sharded fold of a saved dataset (-in, analysis.FoldSharded) records no telemetry yet")
+		return 2
+	}
 	stopProfiles, err := profiling.Start(profiling.Options{
 		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
+		fmt.Fprintln(stderr, "report:", err)
 		return 1
 	}
 	defer stopProfiles()
@@ -65,11 +79,11 @@ func run() int {
 	if *in != "" {
 		ds, err := searchads.LoadDataset(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
+			fmt.Fprintln(stderr, "report:", err)
 			return 1
 		}
 		if report, err = searchads.AnalyzeDatasetSharded(ctx, ds, runtime.GOMAXPROCS(0)); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
+			fmt.Fprintln(stderr, "report:", err)
 			if errors.Is(err, searchads.ErrCanceled) {
 				return 130
 			}
@@ -77,6 +91,9 @@ func run() int {
 		}
 	} else {
 		cfg := searchads.Config{Seed: *seed, QueriesPerEngine: *queries}
+		if *telemetry {
+			cfg.Telemetry = searchads.NewTelemetry()
+		}
 		if *engines != "" {
 			cfg.Engines = strings.Split(*engines, ",")
 		}
@@ -85,28 +102,31 @@ func run() int {
 		// materialised for a fresh-study report.
 		report, err = searchads.NewStudy(cfg).Analyze(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
+			fmt.Fprintln(stderr, "report:", err)
 			if errors.Is(err, searchads.ErrCanceled) {
 				return 130
 			}
 			return 1
 		}
+		if *telemetry {
+			fmt.Fprint(stderr, cfg.Telemetry.Snapshot().Text())
+		}
 	}
 
 	if *experiments {
-		fmt.Print(analysis.RenderExperiments(report.Compare()))
+		fmt.Fprint(stdout, analysis.RenderExperiments(report.Compare()))
 		return 0
 	}
 	if *asJSON {
 		data, err := report.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
+			fmt.Fprintln(stderr, "report:", err)
 			return 1
 		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		stdout.Write(data)
+		fmt.Fprintln(stdout)
 		return 0
 	}
-	fmt.Print(report.Render())
+	fmt.Fprint(stdout, report.Render())
 	return 0
 }

@@ -28,7 +28,13 @@ import (
 // a dense uint32 afterwards). Quantities that depend on the §3.2 token
 // classifier, which only exists once the whole stream has been
 // observed, retain small per-click candidate id sets whose
-// classification is deferred to Report. Memory is therefore bounded by
+// classification is deferred to Report. The classifier itself keeps
+// per-value verdict state plus the sightings of the iteration being
+// folded: filters (ii) and (iii) look inside one browser instance, so
+// an iteration's ad and session contexts are resolved and dropped when
+// the next iteration's sightings start. Each AddAt folds one whole
+// iteration, and no two iterations of a stream may share an Instance
+// (the crawler names each engine-NNNN). Memory is therefore bounded by
 // the number of unique tokens, paths, and hosts, not by request volume,
 // which is what lets a sweep cell analyse a crawl in O(one iteration)
 // of dataset retention.

@@ -105,3 +105,45 @@ func TestResumeCursorMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestInstancesDistinct pins, from the crawl side, the contract the
+// §3.2 classifier folds under: each iteration runs in its own browser
+// instance, so no Instance recurs — in a sequential crawl, a Parallel
+// one, or a crawl killed part-way and resumed in a fresh world.
+func TestInstancesDistinct(t *testing.T) {
+	check := func(name string, its []*Iteration) {
+		t.Helper()
+		seen := make(map[string]int, len(its))
+		for i, it := range its {
+			if j, dup := seen[it.Instance]; dup {
+				t.Fatalf("%s crawl: iterations %d and %d share instance %q", name, j, i, it.Instance)
+			}
+			seen[it.Instance] = i
+		}
+	}
+	full := run(t, Config{World: websim.NewWorld(worldCfg)})
+	check("sequential", full.Iterations)
+	check("Parallel", run(t, Config{World: websim.NewWorld(worldCfg), Parallel: true}).Iterations)
+
+	k := len(full.Iterations) / 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var killed []*Iteration
+	for it, err := range New(Config{World: websim.NewWorld(worldCfg), Parallel: true}).Iterations(ctx) {
+		if err != nil {
+			break
+		}
+		if killed = append(killed, it); len(killed) == k {
+			cancel()
+		}
+	}
+	if len(killed) != k {
+		t.Fatalf("killed crawl emitted %d iterations, want %d", len(killed), k)
+	}
+	resumed := run(t, Config{World: websim.NewWorld(worldCfg), Resume: ResumeFromIterations(killed)})
+	all := append(killed, resumed.Iterations...)
+	if len(all) != len(full.Iterations) {
+		t.Fatalf("killed and resumed crawl has %d iterations, want %d", len(all), len(full.Iterations))
+	}
+	check("killed and resumed", all)
+}

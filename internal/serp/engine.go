@@ -101,16 +101,29 @@ type Engine struct {
 	// instantiated from it. A campaign's fields must not change after
 	// its first render on the engine.
 	ads sync.Map
+
+	// homeResources and serpResources are the pages' static
+	// subresources, built once from Spec.Host and shared read-only by
+	// every page the engine serves.
+	homeResources, serpResources []netsim.ResourceRef
 }
 
 // NewEngine wires an engine from its parts.
 func NewEngine(spec Spec, platform *adtech.Platform, pool *adtech.Pool, reg *adtech.Registry, seed detrand.Source) *Engine {
+	static := "https://" + spec.Host + "/static/"
 	return &Engine{
 		Spec:        spec,
 		Platform:    platform,
 		Pool:        pool,
 		redirectors: reg,
 		seed:        seed.Derive("engine", spec.Name),
+		homeResources: []netsim.ResourceRef{
+			{URL: static + "app.js", Type: netsim.TypeScript},
+		},
+		serpResources: []netsim.ResourceRef{
+			{URL: static + "serp.js", Type: netsim.TypeScript},
+			{URL: static + "logo.png", Type: netsim.TypeImage},
+		},
 	}
 }
 
@@ -217,9 +230,7 @@ func (e *Engine) serveHome(req *netsim.Request) *netsim.Response {
 		Root: netsim.NewElement("div").Append(
 			netsim.NewElement("form", "action", e.Spec.SearchPath, "id", "search-form"),
 		),
-		Resources: []netsim.ResourceRef{
-			{URL: "https://" + e.Spec.Host + "/static/app.js", Type: netsim.TypeScript},
-		},
+		Resources: e.homeResources,
 	}
 	e.applyStorage(req, resp)
 	return resp
@@ -274,12 +285,9 @@ func (e *Engine) serveSERP(req *netsim.Request) *netsim.Response {
 	root.Append(organicsBlock())
 
 	page := &netsim.Page{
-		Title: query + " - " + e.Spec.Name,
-		Root:  root,
-		Resources: []netsim.ResourceRef{
-			{URL: "https://" + e.Spec.Host + "/static/serp.js", Type: netsim.TypeScript},
-			{URL: "https://" + e.Spec.Host + "/static/logo.png", Type: netsim.TypeImage},
-		},
+		Title:     query + " - " + e.Spec.Name,
+		Root:      root,
+		Resources: e.serpResources,
 	}
 
 	if !botDetected(req) {

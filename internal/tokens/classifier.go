@@ -1,6 +1,12 @@
 package tokens
 
-import "searchads/internal/intern"
+import (
+	"cmp"
+	"slices"
+	"strings"
+
+	"searchads/internal/intern"
+)
 
 // Source says where a token was observed.
 type Source string
@@ -120,59 +126,63 @@ func Classify(obs []Observation) *Result { return (&Classifier{}).Classify(obs) 
 
 // Classify implements the pipeline as a fold over an Accumulator: the
 // classification of a batch is identical to observing the same
-// observations one at a time and asking for the Result.
+// observations, grouped by instance (a stable sort of a copy), one at a
+// time and asking for the Result. Any order of a batch classifies alike.
 func (c *Classifier) Classify(obs []Observation) *Result {
+	grouped := slices.Clone(obs)
+	slices.SortStableFunc(grouped, func(x, y Observation) int {
+		return strings.Compare(x.Instance, y.Instance)
+	})
 	acc := c.NewAccumulator()
-	for _, o := range obs {
+	for _, o := range grouped {
 		acc.Observe(o)
 	}
 	return acc.Result()
 }
 
-// valueState tracks one token value's sightings (filter i). Values are
-// overwhelmingly seen inside a single browser instance, so the state is
-// the first instance plus a became-cross-instance flag — not a set.
+// valueState is one token value's verdict state. Values are
+// overwhelmingly seen inside a single browser instance, so filter (i)
+// keeps the first instance plus a became-cross-instance flag — not a
+// set. ad and sess record that filter (ii) or (iii) flagged the value
+// in an instance already resolved.
 type valueState struct {
-	firstInstance uint32
-	multi         bool
+	firstInstance   uint32
+	multi, ad, sess bool
 }
 
-// adState groups filter-(ii) contexts: per (instance, key), the
-// distinct ad indexes and distinct values seen across the ad URLs of
-// one results page. Both slices stay tiny (one SERP's ads), so linear
-// dedup beats a map.
-type adState struct {
-	adIdx []int32
-	vals  []uint32
-}
-
-// sessKey identifies a filter-(iii) context: (instance, key, host,
-// source), all interned.
-type sessKey struct {
-	inst, key, host, src uint32
-}
-
-// sessState holds a session context's distinct base-visit and revisit
-// values.
-type sessState struct {
-	base, revisit []uint32
+// sighting is one observation of the open instance, every string
+// interned; adIndex is -1 off the ad URLs.
+type sighting struct {
+	key, host, src, val uint32
+	adIndex             int32
+	revisit             bool
 }
 
 // Accumulator is the incremental form of the §3.2 pipeline: feed it
 // observations one sighting (or one crawl iteration) at a time via
 // Observe, then call Result to run the filters. Every string is
-// interned into a shared Table on first sight, so retained state is
-// flat integer-keyed structures — O(unique tokens), never the
-// observation stream itself — which is what lets streaming consumers
-// classify a crawl without retaining the dataset. Observation order
-// does not affect the Result, and two accumulators over a partition of
-// the same stream Merge into the state of the unpartitioned fold.
+// interned into a shared Table on first sight. Filters (ii) and (iii)
+// look inside one browser instance, so only the open instance's
+// sightings are held: when an observation names another instance, the
+// open one's ad and session contexts are resolved into its values'
+// verdict bits and dropped. Retained state is O(unique values), never
+// the observation stream, which lets streaming consumers classify a
+// crawl without retaining the dataset.
+//
+// One instance's observations must be contiguous, as a crawl's are
+// (each iteration is one instance, observed in one go); an instance
+// that recurs after a gap starts fresh contexts. Within that contract
+// observation order does not affect the Result, and accumulators over
+// a partition of the stream by instance Merge into the state of the
+// unpartitioned fold.
 type Accumulator struct {
-	cfg      Classifier
-	tab      *intern.Table
-	values   map[uint32]valueState
-	adKeys   map[uint64]*adState
-	sessKeys map[sessKey]*sessState
+	cfg    Classifier
+	tab    *intern.Table
+	values map[uint32]valueState
+	// open holds the sightings of instance inst, the one being
+	// observed, reused from instance to instance.
+	open []sighting
+	inst uint32
 	// heur memoises the per-value heuristic verdict (filters iv + the
 	// manual pass), which depends on nothing but the value bytes: a
 	// stream whose Result is materialised repeatedly classifies each
@@ -191,12 +201,10 @@ func (c *Classifier) NewAccumulator() *Accumulator {
 // aggregate state by the same ids and read verdicts via Result.UserIDAt.
 func (c *Classifier) NewAccumulatorTable(tab *intern.Table) *Accumulator {
 	return &Accumulator{
-		cfg:      *c,
-		tab:      tab,
-		values:   make(map[uint32]valueState),
-		adKeys:   make(map[uint64]*adState),
-		sessKeys: make(map[sessKey]*sessState),
-		heur:     make(map[uint32]Reason),
+		cfg:    *c,
+		tab:    tab,
+		values: make(map[uint32]valueState),
+		heur:   make(map[uint32]Reason),
 	}
 }
 
@@ -235,36 +243,33 @@ func (a *Accumulator) ObserveIDs(key, val, host, inst, src uint32, adIndex int, 
 		v.multi = true
 		a.values[val] = v
 	}
+	if inst != a.inst && len(a.open) > 0 {
+		a.flag(a.open)
+		a.open = a.open[:0]
+	}
+	a.inst = inst
+	a.open = append(a.open, sighting{key: key, host: host, src: src, val: val, adIndex: int32(adIndex), revisit: revisit})
+}
 
-	if adIndex >= 0 {
-		k := uint64(inst)<<32 | uint64(key)
-		ad := a.adKeys[k]
-		if ad == nil {
-			ad = &adState{}
-			a.adKeys[k] = ad
+// flag resolves one instance's sightings (sorting s) into the ad and
+// sess bits of the values filters (ii) and (iii) mark.
+func (a *Accumulator) flag(s []sighting) {
+	resolve(s, func(val uint32, ad bool) {
+		v := a.values[val]
+		if ad {
+			v.ad = true
+		} else {
+			v.sess = true
 		}
-		ad.adIdx = appendDistinct32(ad.adIdx, int32(adIndex))
-		ad.vals = appendDistinct(ad.vals, val)
-	}
-
-	sk := sessKey{inst: inst, key: key, host: host, src: src}
-	s := a.sessKeys[sk]
-	if s == nil {
-		s = &sessState{}
-		a.sessKeys[sk] = s
-	}
-	if revisit {
-		s.revisit = appendDistinct(s.revisit, val)
-	} else {
-		s.base = appendDistinct(s.base, val)
-	}
+		a.values[val] = v
+	})
 }
 
 // Merge folds another accumulator's state into a. The two may intern
 // through different tables (shards build their own); ids are reconciled
 // by string, each distinct string of b's table hashed once
-// (intern.Table.Import). Merging any shard partition of an observation
-// stream yields the state — and therefore the Result — of the
+// (intern.Table.Import). Merging any partition of an observation stream
+// by instance yields the state — and therefore the Result — of the
 // unpartitioned fold. b is left unchanged. Heuristic verdicts b has
 // memoised (see Warm) carry over when both sides share a configuration.
 func (a *Accumulator) Merge(b *Accumulator) {
@@ -284,88 +289,32 @@ func (a *Accumulator) MergeTranslated(b *Accumulator, xlate []uint32) {
 	}
 	for id, bv := range b.values {
 		nid, inst := xlate[id], xlate[bv.firstInstance]
-		if av, ok := a.values[nid]; ok {
-			if !av.multi && (bv.multi || av.firstInstance != inst) {
-				av.multi = true
-				a.values[nid] = av
-			}
-		} else {
-			a.values[nid] = valueState{firstInstance: inst, multi: bv.multi}
+		av, ok := a.values[nid]
+		if !ok {
+			av = valueState{firstInstance: inst}
+		}
+		nv := valueState{
+			firstInstance: av.firstInstance,
+			multi:         av.multi || bv.multi || av.firstInstance != inst,
+			ad:            av.ad || bv.ad,
+			sess:          av.sess || bv.sess,
+		}
+		if !ok || nv != av {
+			a.values[nid] = nv
 		}
 	}
-	a.mergeAdKeys(b, xlate)
-	a.mergeSessKeys(b, xlate)
+	// b's open instance is one a never saw: resolve a translated copy
+	// into a's bits, leaving a's own open instance open.
+	open := slices.Clone(b.open)
+	for i := range open {
+		o := &open[i]
+		o.key, o.host, o.src, o.val = xlate[o.key], xlate[o.host], xlate[o.src], xlate[o.val]
+	}
+	a.flag(open)
 	if a.cfg == b.cfg {
 		for id, r := range b.heur {
 			a.heur[xlate[id]] = r
 		}
-	}
-}
-
-// mergeAdKeys folds b's filter-(ii) contexts into a. Both key spaces
-// lead with the instance, so shards that split the stream by iteration
-// rarely share a key: a key new to a takes a copy of b's lists, already
-// distinct. The copies come from one state slab and one arena per list
-// type, sized for every key of b; each key's lists are capacity-capped
-// windows of the arena, so a later append on a reallocates rather than
-// overwriting the next key's ids.
-func (a *Accumulator) mergeAdKeys(b *Accumulator, xlate []uint32) {
-	nIdx, nVals := 0, 0
-	for _, bad := range b.adKeys {
-		nIdx += len(bad.adIdx)
-		nVals += len(bad.vals)
-	}
-	slab := make([]adState, len(b.adKeys))
-	idxArena := make([]int32, nIdx)
-	valArena := make([]uint32, nVals)
-	used := 0
-	for k, bad := range b.adKeys {
-		nk := uint64(xlate[k>>32])<<32 | uint64(xlate[uint32(k)])
-		if ad := a.adKeys[nk]; ad != nil {
-			for _, ai := range bad.adIdx {
-				ad.adIdx = appendDistinct32(ad.adIdx, ai)
-			}
-			for _, v := range bad.vals {
-				ad.vals = appendDistinct(ad.vals, xlate[v])
-			}
-			continue
-		}
-		ad := &slab[used]
-		used++
-		ad.adIdx = idxArena[:len(bad.adIdx):len(bad.adIdx)]
-		idxArena = idxArena[len(bad.adIdx):]
-		copy(ad.adIdx, bad.adIdx)
-		ad.vals = intern.Translate(&valArena, bad.vals, xlate)
-		a.adKeys[nk] = ad
-	}
-}
-
-// mergeSessKeys folds b's filter-(iii) contexts into a, copying keys
-// new to a into one slab and arena exactly as mergeAdKeys does.
-func (a *Accumulator) mergeSessKeys(b *Accumulator, xlate []uint32) {
-	n := 0
-	for _, bs := range b.sessKeys {
-		n += len(bs.base) + len(bs.revisit)
-	}
-	slab := make([]sessState, len(b.sessKeys))
-	arena := make([]uint32, n)
-	used := 0
-	for k, bs := range b.sessKeys {
-		nk := sessKey{inst: xlate[k.inst], key: xlate[k.key], host: xlate[k.host], src: xlate[k.src]}
-		if s := a.sessKeys[nk]; s != nil {
-			for _, v := range bs.base {
-				s.base = appendDistinct(s.base, xlate[v])
-			}
-			for _, v := range bs.revisit {
-				s.revisit = appendDistinct(s.revisit, xlate[v])
-			}
-			continue
-		}
-		s := &slab[used]
-		used++
-		s.base = intern.Translate(&arena, bs.base, xlate)
-		s.revisit = intern.Translate(&arena, bs.revisit, xlate)
-		a.sessKeys[nk] = s
 	}
 }
 
@@ -375,7 +324,7 @@ func (a *Accumulator) mergeSessKeys(b *Accumulator, xlate []uint32) {
 // classification of the larger stream.
 func (a *Accumulator) Result() *Result {
 	n := a.tab.Len()
-	adValues, sessValues := a.contextFlags()
+	adOpen, sessOpen := a.contextFlags()
 	res := &Result{
 		TotalTokens: len(a.values),
 		ByReason:    make(map[Reason]int),
@@ -386,15 +335,8 @@ func (a *Accumulator) Result() *Result {
 	// Each value gets exactly one verdict, a function of the state
 	// alone, so the values are classified in map order.
 	for id, v := range a.values {
-		var reason Reason
-		switch {
-		case v.multi:
-			reason = ReasonCrossInstance
-		case adValues.has(id):
-			reason = ReasonAdIdentifier
-		case sessValues.has(id):
-			reason = ReasonSessionID
-		default:
+		reason := contextReason(id, v, adOpen, sessOpen)
+		if reason == "" {
 			reason = a.heuristicReason(id, a.tab.Str(id))
 			if reason == ReasonUserID {
 				res.uidByID.set(id)
@@ -406,58 +348,138 @@ func (a *Accumulator) Result() *Result {
 	return res
 }
 
-// contextFlags runs filters (ii) and (iii) over the retained contexts:
-// the values flagged as ad identifiers and as session identifiers, as
-// bitsets over the table's ids.
+// contextReason is the verdict filters (i)–(iii) give a value, or ""
+// when they leave it to the heuristics: its own bits, or the open
+// instance's flags (contextFlags).
+func contextReason(id uint32, v valueState, adOpen, sessOpen bitset) Reason {
+	switch {
+	case v.multi:
+		return ReasonCrossInstance
+	case v.ad || adOpen.has(id):
+		return ReasonAdIdentifier
+	case v.sess || sessOpen.has(id):
+		return ReasonSessionID
+	}
+	return ""
+}
+
+// contextFlags runs filters (ii) and (iii) over a copy of the open
+// instance's sightings: the values flagged as ad identifiers and as
+// session identifiers there, as bitsets over the table's ids.
 func (a *Accumulator) contextFlags() (adValues, sessValues bitset) {
 	n := a.tab.Len()
-	// Filter (ii): keys whose values differ across ad URLs on the same
-	// page mark all their values as ad identifiers.
-	adValues = newBitset(n)
-	for _, ad := range a.adKeys {
-		if len(ad.vals) > 1 && len(ad.adIdx) > 1 {
-			for _, v := range ad.vals {
-				adValues.set(v)
-			}
+	adValues, sessValues = newBitset(n), newBitset(n)
+	resolve(slices.Clone(a.open), func(val uint32, ad bool) {
+		if ad {
+			adValues.set(val)
+		} else {
+			sessValues.set(val)
 		}
-	}
-	// Filter (iii): keys whose value changed between base visit and the
-	// next-day revisit mark those values as session identifiers.
-	sessValues = newBitset(n)
-	for _, s := range a.sessKeys {
-		if len(s.base) == 0 || len(s.revisit) == 0 {
-			continue
-		}
-		changed := false
-		for _, v := range s.base {
-			if !contains(s.revisit, v) {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			for _, v := range s.base {
-				sessValues.set(v)
-			}
-			for _, v := range s.revisit {
-				sessValues.set(v)
-			}
-		}
-	}
+	})
 	return adValues, sessValues
+}
+
+// resolve runs filters (ii) and (iii) over one instance's sightings and
+// calls mark for each value they flag: ad for filter (ii), !ad for
+// filter (iii); a value may be marked more than once. It sorts s by
+// (key, host, source, revisit, value): a key's run is one filter-(ii)
+// context, and each (key, host, source) run inside it one filter-(iii)
+// context with its base-visit values before its revisit values.
+func resolve(s []sighting, mark func(val uint32, ad bool)) {
+	slices.SortFunc(s, compareSightings)
+	for i := 0; i < len(s); {
+		j := i + 1
+		for j < len(s) && s[j].key == s[i].key {
+			j++
+		}
+		adContext(s[i:j], mark)
+		for k := i; k < j; {
+			m := k + 1
+			for m < j && s[m].host == s[k].host && s[m].src == s[k].src {
+				m++
+			}
+			sessContext(s[k:m], mark)
+			k = m
+		}
+		i = j
+	}
+}
+
+func compareSightings(x, y sighting) int {
+	switch {
+	case x.key != y.key:
+		return cmp.Compare(x.key, y.key)
+	case x.host != y.host:
+		return cmp.Compare(x.host, y.host)
+	case x.src != y.src:
+		return cmp.Compare(x.src, y.src)
+	case x.revisit != y.revisit:
+		if y.revisit {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.val, y.val)
+}
+
+// adContext is filter (ii) over one key's sightings: a key whose values
+// differ across the ad URLs of the page marks all its ad-URL values as
+// ad identifiers.
+func adContext(s []sighting, mark func(uint32, bool)) {
+	first := -1
+	manyAds, manyVals := false, false
+	for i, o := range s {
+		if o.adIndex >= 0 && first < 0 {
+			first = i
+		} else if o.adIndex >= 0 {
+			manyAds = manyAds || o.adIndex != s[first].adIndex
+			manyVals = manyVals || o.val != s[first].val
+		}
+	}
+	if manyAds && manyVals {
+		for _, o := range s {
+			if o.adIndex >= 0 {
+				mark(o.val, true)
+			}
+		}
+	}
+}
+
+// sessContext is filter (iii) over one (key, host, source) context,
+// sorted base visit first and by value: when a base value is missing
+// from the next-day revisit, the value changed, and every value of the
+// context is a session identifier.
+func sessContext(s []sighting, mark func(uint32, bool)) {
+	n := slices.IndexFunc(s, func(o sighting) bool { return o.revisit })
+	if n <= 0 {
+		return // no revisit, or no base visit
+	}
+	base, rev := s[:n], s[n:]
+	j := 0
+	for _, o := range base {
+		for j < len(rev) && rev[j].val < o.val {
+			j++
+		}
+		if j == len(rev) || rev[j].val != o.val {
+			for _, x := range s {
+				mark(x.val, false)
+			}
+			return
+		}
+	}
 }
 
 // Warm memoises the heuristic verdict of every value filters (i)–(iii)
 // leave unflagged in this accumulator, so a later Result — of this
 // accumulator or of one it is merged into — finds them computed. Shards
 // warm on their own goroutines before a merge: ad and session contexts
-// lead with the instance, which one iteration owns, so a value flagged
-// in the shard that saw its iteration stays flagged after any merge, and
-// the merged Result runs no heuristics at all. Warm changes no Result.
+// lie inside one instance, which one shard owns, so a value flagged in
+// that shard stays flagged after any merge, and the merged Result runs
+// no heuristics at all. Warm changes no Result.
 func (a *Accumulator) Warm() {
-	adValues, sessValues := a.contextFlags()
+	adOpen, sessOpen := a.contextFlags()
 	for id, v := range a.values {
-		if !v.multi && !adValues.has(id) && !sessValues.has(id) {
+		if contextReason(id, v, adOpen, sessOpen) == "" {
 			a.heuristicReason(id, a.tab.Str(id))
 		}
 	}
@@ -493,34 +515,6 @@ func (a *Accumulator) heuristicReason(id uint32, val string) Reason {
 // whole fold however many sightings ask.
 func (a *Accumulator) PassesHeuristicsID(id uint32) bool {
 	return a.heuristicReason(id, a.tab.Str(id)) == ReasonUserID
-}
-
-// appendDistinct appends v if absent. The slices it maintains are one
-// SERP's or one session context's distinct values — single digits — so
-// the linear probe is cheaper than any map.
-func appendDistinct(s []uint32, v uint32) []uint32 {
-	if contains(s, v) {
-		return s
-	}
-	return append(s, v)
-}
-
-func appendDistinct32(s []int32, v int32) []int32 {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
-func contains(s []uint32, v uint32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // bitset is a dense id set sized to the intern table.

@@ -2,7 +2,10 @@ package tokens
 
 import (
 	"fmt"
+	"hash/fnv"
 	"maps"
+	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -430,9 +433,11 @@ func TestIsDictionaryWordNoAllocs(t *testing.T) {
 // the classifier fold: shards split by instance merge into the state of
 // one accumulator that saw every observation, the merged-from shard's
 // Result is unchanged, and observations made on the merge target
-// afterwards — appends to ad and session contexts the merge copied in —
-// still give the sequential Result. Warmed shards leave the merged
-// Result no heuristic to compute.
+// afterwards still give the sequential Result. The late observations
+// revisit instances the corpus already closed, so in both folds they
+// open fresh contexts: no context is carried across the merge, only
+// the values' verdict bits. Warmed shards leave the merged Result no
+// heuristic to compute.
 func TestMergeThenObserveMatchesSequential(t *testing.T) {
 	corpus := funnelCorpus()
 	var late []Observation
@@ -494,4 +499,255 @@ func TestMergeThenObserveMatchesSequential(t *testing.T) {
 			t.Fatalf("merge then observe: %q = %q, sequential %q", o.Value, got.ReasonFor(o.Value), want.ReasonFor(o.Value))
 		}
 	}
+}
+
+// refClassify is the retained-context classifier the accumulator
+// replaced, kept as its oracle: it holds every (instance, key) ad
+// context and every (instance, key, host, source) session context until
+// the stream ends, and only then runs filters (ii) and (iii). It
+// returns each value's verdict under the default pipeline.
+func refClassify(obs []Observation) map[string]Reason {
+	type adCtx struct {
+		idx  map[int]bool
+		vals map[string]bool
+	}
+	type sessCtx struct{ base, revisit map[string]bool }
+	type sessKey struct {
+		inst, key, host string
+		src             Source
+	}
+	insts := map[string]map[string]bool{}
+	ads := map[[2]string]*adCtx{}
+	sess := map[sessKey]*sessCtx{}
+	for _, o := range obs {
+		if o.Value == "" {
+			continue
+		}
+		if insts[o.Value] == nil {
+			insts[o.Value] = map[string]bool{}
+		}
+		insts[o.Value][o.Instance] = true
+		if o.AdIndex >= 0 {
+			k := [2]string{o.Instance, o.Key}
+			if ads[k] == nil {
+				ads[k] = &adCtx{idx: map[int]bool{}, vals: map[string]bool{}}
+			}
+			ads[k].idx[o.AdIndex] = true
+			ads[k].vals[o.Value] = true
+		}
+		sk := sessKey{o.Instance, o.Key, o.Host, o.Source}
+		if sess[sk] == nil {
+			sess[sk] = &sessCtx{base: map[string]bool{}, revisit: map[string]bool{}}
+		}
+		if o.Revisit {
+			sess[sk].revisit[o.Value] = true
+		} else {
+			sess[sk].base[o.Value] = true
+		}
+	}
+	adVals, sessVals := map[string]bool{}, map[string]bool{}
+	for _, c := range ads {
+		if len(c.idx) > 1 && len(c.vals) > 1 {
+			for v := range c.vals {
+				adVals[v] = true
+			}
+		}
+	}
+	for _, c := range sess {
+		if len(c.base) == 0 || len(c.revisit) == 0 {
+			continue
+		}
+		changed := false
+		for v := range c.base {
+			changed = changed || !c.revisit[v]
+		}
+		if changed {
+			for v := range c.base {
+				sessVals[v] = true
+			}
+			for v := range c.revisit {
+				sessVals[v] = true
+			}
+		}
+	}
+	out := make(map[string]Reason, len(insts))
+	for v, in := range insts {
+		switch {
+		case len(in) > 1:
+			out[v] = ReasonCrossInstance
+		case adVals[v]:
+			out[v] = ReasonAdIdentifier
+		case sessVals[v]:
+			out[v] = ReasonSessionID
+		case len(v) < MinIDLength || LooksLikeTimestamp(v) || LooksLikeURL(v) ||
+			IsEnglishWords(v) || LooksLikePhrase(v):
+			out[v] = ReasonHeuristics
+		case LooksLikeCoordinates(v) || LooksLikeAcronym(v) || isWordCombination(v):
+			out[v] = ReasonManualPass
+		default:
+			out[v] = ReasonUserID
+		}
+	}
+	return out
+}
+
+// fuzzValues is fuzzStream's pool of values shared by all instances:
+// identifier-like values, one value each that the heuristics and the
+// manual pass drop, and the empty value Observe skips.
+var fuzzValues = []string{
+	"Qz8vLp2KxWm4Tn6R", "Hb7cNq3JsYe9Ud1F", "Wk5rMg8PaZt2Xv4C",
+	"1663243200", "acceptCookies", "",
+}
+
+// fuzzStream decodes data into an observation stream, four bytes per
+// observation, in which one instance's observations are contiguous:
+// byte 0 starts the next instance when below 32; byte 1 picks the key
+// (4), host (2) and source (2); byte 2 the value, odd for one of eight
+// values local to the instance and even for the shared pool; byte 3
+// the ad index (0 to 3, and -1 for 4 to 7) and, in its top bit, the
+// revisit.
+func fuzzStream(data []byte) []Observation {
+	sources := []Source{SourceCookie, SourceQueryParam}
+	var out []Observation
+	inst := 0
+	for i := 0; i+4 <= len(data); i += 4 {
+		b := data[i : i+4]
+		if b[0] < 32 && i > 0 {
+			inst++
+		}
+		val := fuzzValues[int(b[2]/2)%len(fuzzValues)]
+		if b[2]%2 == 1 {
+			val = fmt.Sprintf("Zq%02dTk%dvW8pLm", inst, b[2]/2%8)
+		}
+		ad := int(b[3] & 7)
+		if ad > 3 {
+			ad = -1
+		}
+		out = append(out, Observation{
+			Key:      fmt.Sprintf("k%d", b[1]%4),
+			Host:     fmt.Sprintf("h%d.example", b[1]/4%2),
+			Source:   sources[int(b[1]/8)%len(sources)],
+			Value:    val,
+			Instance: fmt.Sprintf("inst%03d", inst),
+			AdIndex:  ad,
+			Revisit:  b[3]&0x80 != 0,
+		})
+	}
+	return out
+}
+
+// fuzzObs encodes one fuzzStream observation: next starts a new
+// instance, val is the value byte, ad the ad index (-1 for none).
+func fuzzObs(next bool, key, val byte, ad int, revisit bool) []byte {
+	b := []byte{255, key, val, byte(ad)}
+	if ad < 0 {
+		b[3] = 4
+	}
+	if next {
+		b[0] = 0
+	}
+	if revisit {
+		b[3] |= 0x80
+	}
+	return b
+}
+
+// fuzzSeed is a reproducible pseudo-random stream of n observations.
+func fuzzSeed(seed uint64, n int) []byte {
+	r := rand.New(rand.NewPCG(seed, 0))
+	data := make([]byte, 4*n)
+	for i := range data {
+		data[i] = byte(r.Uint32())
+	}
+	return data
+}
+
+// FuzzClassifyMatchesReference holds the classifier, which resolves each
+// instance's ad and session contexts when the instance's observations
+// end, to the retained-context oracle (refClassify) on streams with
+// contiguous instances. Every value's verdict must match the oracle's in
+// a direct fold, in Classify of the stream shuffled, and in two shards
+// split at random by instance, warmed and then merged; the merged
+// Result must run no heuristics the warm-up left out.
+func FuzzClassifyMatchesReference(f *testing.F) {
+	// One instance: local values 0 and 1 differ across ads 0 and 1 on
+	// key 0 (ad identifiers), local value 2 changes to 3 on key 1's
+	// revisit (session identifiers), and value 4 stays on key 2's
+	// revisit. Every context is still open when Result runs.
+	one := slices.Concat(
+		fuzzObs(false, 0, 1, 0, false), fuzzObs(false, 0, 3, 1, false),
+		fuzzObs(false, 1, 5, -1, false), fuzzObs(false, 1, 7, -1, true),
+		fuzzObs(false, 2, 9, -1, false), fuzzObs(false, 2, 9, -1, true),
+	)
+	f.Add(one)
+	// Three such instances, each also holding pool value 0 on key 3 (a
+	// cross-instance constant): the first two are closed when Result
+	// runs, the third is open.
+	three := slices.Concat(one, fuzzObs(false, 3, 0, -1, false))
+	for range 2 {
+		three = slices.Concat(three, fuzzObs(true, 3, 0, -1, false), one)
+	}
+	f.Add(three)
+	for seed := range uint64(4) {
+		f.Add(fuzzSeed(seed, 150))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		obs := fuzzStream(data)
+		want := refClassify(obs)
+		check := func(path string, res *Result) {
+			t.Helper()
+			if res.TotalTokens != len(want) {
+				t.Fatalf("%s: TotalTokens = %d, oracle %d", path, res.TotalTokens, len(want))
+			}
+			counts := map[Reason]int{}
+			for v, r := range want {
+				counts[r]++
+				if got := res.ReasonFor(v); got != r {
+					t.Fatalf("%s: %q = %q, oracle %q", path, v, got, r)
+				}
+				if res.IsUserID(v) != (r == ReasonUserID) {
+					t.Fatalf("%s: IsUserID(%q) = %v with reason %q", path, v, res.IsUserID(v), r)
+				}
+			}
+			if !maps.Equal(res.ByReason, counts) {
+				t.Fatalf("%s: funnel %v, oracle %v", path, res.ByReason, counts)
+			}
+		}
+
+		direct := NewAccumulator()
+		for _, o := range obs {
+			direct.Observe(o)
+		}
+		check("direct fold", direct.Result())
+
+		h := fnv.New64a()
+		h.Write(data)
+		r := rand.New(rand.NewPCG(h.Sum64(), uint64(len(data))))
+		shuffled := slices.Clone(obs)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		check("shuffled Classify", Classify(shuffled))
+
+		inB := map[string]bool{}
+		a, b := NewAccumulator(), NewAccumulator()
+		for _, o := range obs {
+			in, ok := inB[o.Instance]
+			if !ok {
+				in = r.IntN(2) == 1
+				inB[o.Instance] = in
+			}
+			if in {
+				b.Observe(o)
+			} else {
+				a.Observe(o)
+			}
+		}
+		a.Warm()
+		b.Warm()
+		a.Merge(b)
+		memo := len(a.heur)
+		check("warmed shards merged", a.Result())
+		if len(a.heur) != memo {
+			t.Fatalf("merged Result ran heuristics for %d values the warm-up left out", len(a.heur)-memo)
+		}
+	})
 }

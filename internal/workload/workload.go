@@ -56,13 +56,16 @@ const (
 )
 
 // Generate returns n distinct queries of the given kind, deterministic in
-// the seed.
+// the seed, or all of the kind's queries when n exceeds Cardinality:
+// Trending has 1,020, Movies 432 and Mixed 1,452. A larger n yields the
+// same queries as n = Cardinality(kind).
 func Generate(kind Kind, seed detrand.Source, n int) []string {
 	g := seed.Derive("workload").Rand()
 	r := &g
-	seen := make(map[string]bool, n)
-	out := make([]string, 0, n)
-	for attempt := 0; len(out) < n && attempt < n*100; attempt++ {
+	want := min(n, Cardinality(kind))
+	seen := make(map[string]bool, want)
+	out := make([]string, 0, want)
+	for attempt := 0; len(out) < want && attempt < n*100; attempt++ {
 		var q string
 		k := kind
 		if kind == Mixed {
@@ -86,6 +89,26 @@ func Generate(kind Kind, seed detrand.Source, n int) []string {
 	return out
 }
 
+// years is how many release years trendingQuery's dated template picks
+// from (2020 onwards).
+const years = 3
+
+// Cardinality is the number of distinct queries Generate can return for
+// kind: the sum over the kind's templates of their word-list products.
+// No two templates, and no two picks within one, spell the same query.
+func Cardinality(kind Kind) int {
+	trending := len(modifiers)*len(products)*(1+years) + // with and without a year
+		len(topics)*len(places) + len(products)*len(topics)
+	movies := 2*len(movieAdjectives)*len(movieNouns) + len(movieNouns)*len(movieNouns)
+	switch kind {
+	case Trending:
+		return trending
+	case Movies:
+		return movies
+	}
+	return trending + movies
+}
+
 func trendingQuery(r interface{ Intn(int) int }) string {
 	switch r.Intn(4) {
 	case 0:
@@ -93,7 +116,7 @@ func trendingQuery(r interface{ Intn(int) int }) string {
 	case 1:
 		return topics[r.Intn(len(topics))] + " in " + places[r.Intn(len(places))]
 	case 2:
-		return modifiers[r.Intn(len(modifiers))] + " " + products[r.Intn(len(products))] + " " + fmt.Sprint(2020+r.Intn(3))
+		return modifiers[r.Intn(len(modifiers))] + " " + products[r.Intn(len(products))] + " " + fmt.Sprint(2020+r.Intn(years))
 	default:
 		return products[r.Intn(len(products))] + " " + topics[r.Intn(len(topics))]
 	}

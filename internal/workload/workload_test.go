@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,5 +77,57 @@ func TestProductsCopy(t *testing.T) {
 	p[0] = "mutated"
 	if Products()[0] == "mutated" {
 		t.Fatal("Products must return a copy")
+	}
+}
+
+// refGenerate is Generate before it stopped at the corpus size: it
+// samples until it has n queries or has made n*100 attempts.
+func refGenerate(kind Kind, seed detrand.Source, n int) []string {
+	g := seed.Derive("workload").Rand()
+	r := &g
+	seen := make(map[string]bool, n)
+	out := make([]string, 0, n)
+	for attempt := 0; len(out) < n && attempt < n*100; attempt++ {
+		k := kind
+		if kind == Mixed {
+			if r.Intn(2) == 0 {
+				k = Trending
+			} else {
+				k = Movies
+			}
+		}
+		var q string
+		if k == Trending {
+			q = trendingQuery(r)
+		} else {
+			q = movieQuery(r)
+		}
+		if !seen[q] {
+			seen[q] = true
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestGenerateStopsAtCardinality holds Generate to the sampling loop it
+// shortened: for every kind, below, at and past the corpus size, it
+// returns the reference's queries in the reference's order, and past
+// the size that is the whole corpus.
+func TestGenerateStopsAtCardinality(t *testing.T) {
+	if got := Cardinality(Mixed); got != 1452 {
+		t.Fatalf("Cardinality(Mixed) = %d, want 1452", got)
+	}
+	for _, kind := range []Kind{Trending, Movies, Mixed} {
+		size := Cardinality(kind)
+		for _, n := range []int{0, 100, size - 1, size, size + 1, 5000} {
+			got, want := Generate(kind, detrand.New(7), n), refGenerate(kind, detrand.New(7), n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("kind %d, n = %d: %d queries, reference %d (or a different order)", kind, n, len(got), len(want))
+			}
+			if len(got) != min(n, size) {
+				t.Fatalf("kind %d, n = %d: %d queries, want %d", kind, n, len(got), min(n, size))
+			}
+		}
 	}
 }

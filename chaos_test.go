@@ -3,8 +3,6 @@ package searchads_test
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,161 +10,6 @@ import (
 
 	"searchads"
 )
-
-// saveBytes crawls nothing itself — it just serializes a dataset the
-// same way cmd/crawl does, so byte-level comparisons see exactly what
-// lands on disk.
-func saveBytes(t *testing.T, ds *searchads.Dataset) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "ds.json")
-	if err := ds.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestZeroFaultPlanByteIdentical is the chaos layer's regression guard:
-// a study configured with the fault machinery disarmed — profile "off",
-// or a real profile at rate 0 — must produce datasets, JSON reports,
-// and rendered reports byte-identical to a study that never mentioned
-// faults at all.
-func TestZeroFaultPlanByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	base := searchads.Config{
-		Seed:             441,
-		Engines:          []string{searchads.Bing, searchads.Google},
-		QueriesPerEngine: 8,
-	}
-
-	plain := searchads.NewStudy(base)
-	baseDS, err := plain.Crawl(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseBytes := saveBytes(t, baseDS)
-	baseReport, err := plain.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseJSON, err := baseReport.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRender := baseReport.Render()
-	if strings.Contains(baseRender, "Crawl loss") {
-		t.Fatal("fault-free report renders a crawl-loss section")
-	}
-	if strings.Contains(string(baseJSON), `"Failures"`) {
-		t.Fatal("fault-free report JSON carries a Failures key")
-	}
-
-	for _, cfg := range []searchads.Config{
-		{FaultProfile: "off"},
-		{FaultProfile: "off", FaultRate: 0},
-		{FaultProfile: "bot-hostile", FaultRate: 0},
-		{FaultProfile: "brownout"}, // rate defaults to 0
-	} {
-		cfg.Seed = base.Seed
-		cfg.Engines = base.Engines
-		cfg.QueriesPerEngine = base.QueriesPerEngine
-		study := searchads.NewStudy(cfg)
-		ds, err := study.Crawl(ctx)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if got := saveBytes(t, ds); !bytes.Equal(got, baseBytes) {
-			t.Fatalf("profile=%q rate=%g: dataset bytes differ from the faultless study",
-				cfg.FaultProfile, cfg.FaultRate)
-		}
-		rep, err := study.Analyze(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJSON, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, baseJSON) {
-			t.Fatalf("profile=%q rate=%g: report JSON differs from the faultless study",
-				cfg.FaultProfile, cfg.FaultRate)
-		}
-		if rep.Render() != baseRender {
-			t.Fatalf("profile=%q rate=%g: rendered report differs from the faultless study",
-				cfg.FaultProfile, cfg.FaultRate)
-		}
-	}
-}
-
-// TestFaultCrawlSequentialParallelByteIdentical is the chaos property
-// test: for any (seed, profile, rate), the parallel crawl's dataset is
-// byte-identical to the sequential crawl's, and a repeat run reproduces
-// it exactly — fault decisions are a pure function of the plan, never
-// of scheduling.
-func TestFaultCrawlSequentialParallelByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	cases := []struct {
-		seed    int64
-		profile string
-		rate    float64
-	}{
-		{101, "flaky-edge", 0.3},
-		{202, "bot-hostile", 0.25},
-		{303, "brownout", 0.2},
-	}
-	for _, tc := range cases {
-		cfg := searchads.Config{
-			Seed:             tc.seed,
-			Engines:          []string{searchads.Bing, searchads.DuckDuckGo},
-			QueriesPerEngine: 6,
-			FaultProfile:     tc.profile,
-			FaultRate:        tc.rate,
-		}
-		seqDS, err := searchads.NewStudy(cfg).Crawl(ctx)
-		if err != nil {
-			t.Fatalf("%s@%g sequential: %v", tc.profile, tc.rate, err)
-		}
-		seq := saveBytes(t, seqDS)
-
-		par := cfg
-		par.Parallel = true
-		parDS, err := searchads.NewStudy(par).Crawl(ctx)
-		if err != nil {
-			t.Fatalf("%s@%g parallel: %v", tc.profile, tc.rate, err)
-		}
-		if !bytes.Equal(seq, saveBytes(t, parDS)) {
-			t.Fatalf("%s@%g: parallel dataset diverges from sequential", tc.profile, tc.rate)
-		}
-
-		againDS, err := searchads.NewStudy(cfg).Crawl(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq, saveBytes(t, againDS)) {
-			t.Fatalf("%s@%g: repeat crawl diverges", tc.profile, tc.rate)
-		}
-
-		// The plan must actually bite at these rates, with typed classes
-		// on every failure.
-		var failed int
-		for _, it := range seqDS.Iterations {
-			if it.Error == "" {
-				continue
-			}
-			failed++
-			if it.ErrorClass == "" {
-				t.Fatalf("%s@%g: failed iteration carries no error class: %s",
-					tc.profile, tc.rate, it.Error)
-			}
-		}
-		if failed == 0 {
-			t.Fatalf("%s@%g: no iteration failed; injection inert", tc.profile, tc.rate)
-		}
-	}
-}
 
 // TestRetryBackoffVirtualClockOnly: retries, exponential backoff, and
 // Retry-After waits are charged to the browser's virtual clock, never
@@ -218,18 +61,16 @@ func TestRetryBackoffVirtualClockOnly(t *testing.T) {
 }
 
 // TestFaultFailureCountsInReport: injected failures surface as
-// per-engine, per-class counts in the report, identically through the
-// sequential fold and the sharded merge, and the counts reconcile with
-// the dataset.
+// per-engine, per-class counts in the report that reconcile with the
+// dataset. (The invariance matrix holds them equal across folds.)
 func TestFaultFailureCountsInReport(t *testing.T) {
-	ctx := context.Background()
 	ds, err := searchads.NewStudy(searchads.Config{
 		Seed:             606,
 		Engines:          []string{searchads.Bing, searchads.Qwant},
 		QueriesPerEngine: 10,
 		FaultProfile:     "bot-hostile",
 		FaultRate:        0.3,
-	}).Crawl(ctx)
+	}).Crawl(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,22 +99,6 @@ func TestFaultFailureCountsInReport(t *testing.T) {
 	}
 	if !strings.Contains(rep.Render(), "Crawl loss") {
 		t.Fatal("render omits the crawl-loss section despite failures")
-	}
-
-	sharded, err := searchads.AnalyzeDatasetSharded(ctx, ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqJSON, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardJSON, err := sharded.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqJSON, shardJSON) {
-		t.Fatal("sharded report (with failure counts) diverges from sequential fold")
 	}
 }
 
@@ -338,19 +163,23 @@ func TestSweepFaultDimensions(t *testing.T) {
 }
 
 // TestInvalidFaultProfileErrors: an unknown profile or an out-of-range
-// rate is a config error surfaced by the first pipeline call — not a
-// silent faultless crawl.
+// rate — at any rate, even 0 — is a config error surfaced by the first
+// pipeline call, not a silent faultless crawl, and a sweep cell of the
+// same config fails with the study's error.
 func TestInvalidFaultProfileErrors(t *testing.T) {
 	ctx := context.Background()
 	for _, cfg := range []searchads.Config{
 		{FaultProfile: "hurricane", FaultRate: 0.1},
 		{FaultProfile: "brownout", FaultRate: 1.5},
+		{FaultProfile: "bogus"},
+		{FaultProfile: "bot-hostile", FaultRate: -0.1},
 	} {
 		cfg.Seed = 9
 		cfg.QueriesPerEngine = 2
 		cfg.Engines = []string{searchads.Bing}
 		study := searchads.NewStudy(cfg)
-		if ds, err := study.Crawl(ctx); err == nil {
+		ds, crawlErr := study.Crawl(ctx)
+		if crawlErr == nil {
 			t.Fatalf("%+v: Crawl returned %d iterations, want config error",
 				cfg, len(ds.Iterations))
 		}
@@ -364,6 +193,18 @@ func TestInvalidFaultProfileErrors(t *testing.T) {
 		}
 		if _, err := study.Analyze(ctx); err == nil {
 			t.Fatalf("profile=%q rate=%g: Analyze succeeded", cfg.FaultProfile, cfg.FaultRate)
+		}
+
+		res, err := searchads.Sweep(ctx, searchads.SweepMatrix{
+			Seeds:            []int64{cfg.Seed},
+			EngineSets:       [][]string{cfg.Engines},
+			QueriesPerEngine: cfg.QueriesPerEngine,
+			FaultProfiles:    []string{cfg.FaultProfile},
+			FaultRates:       []float64{cfg.FaultRate},
+		}, searchads.SweepOptions{Parallel: 1})
+		if err == nil || res.CellErrors != 1 || res.Cells[0].Err != crawlErr.Error() {
+			t.Errorf("profile=%q rate=%g: sweep err %v, %d cell errors, cell error %q; want the study's %q",
+				cfg.FaultProfile, cfg.FaultRate, err, res.CellErrors, res.Cells[0].Err, crawlErr)
 		}
 	}
 }

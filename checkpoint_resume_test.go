@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -56,85 +55,6 @@ func runToCompletion(t *testing.T, base searchads.Config, gen *rand.Rand) (*sear
 		if _, err := os.Stat(base.Checkpoint); err != nil {
 			t.Fatalf("round %d: killed run left no checkpoint: %v", round, err)
 		}
-	}
-}
-
-// TestStudyKillResumeByteIdentical is the PR's correctness bar: kill a
-// checkpointed study at a random iteration boundary, resume it (with a
-// freshly rolled parallelism), repeat through chained kills — the final
-// dataset bytes and both report forms must equal the uninterrupted
-// run's exactly.
-func TestStudyKillResumeByteIdentical(t *testing.T) {
-	gen := rand.New(rand.NewSource(20230901))
-	for trial := 0; trial < 4; trial++ {
-		base := searchads.Config{
-			Seed:             int64(500 + trial),
-			Engines:          []string{searchads.Bing, searchads.Google},
-			QueriesPerEngine: 5,
-			CheckpointEvery:  1 + gen.Intn(6), // exercise the periodic-write path too
-		}
-		plain := searchads.NewStudy(base)
-		wantDS, err := plain.Crawl(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantReport, err := plain.Analyze(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes := saveBytes(t, wantDS)
-		wantJSON, _ := json.Marshal(wantReport)
-
-		base.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
-		st, kills := runToCompletion(t, base, gen)
-		gotDS, err := st.Resume(context.Background()) // cached now
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(saveBytes(t, gotDS), wantBytes) {
-			t.Fatalf("trial %d (seed=%d, %d kills): resumed dataset diverges", trial, base.Seed, kills)
-		}
-		gotReport, err := st.Analyze(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotReport.Render() != wantReport.Render() {
-			t.Fatalf("trial %d: resumed rendered report diverges", trial)
-		}
-		gotJSON, _ := json.Marshal(gotReport)
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("trial %d: resumed report JSON diverges", trial)
-		}
-		if _, err := os.Stat(base.Checkpoint); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("trial %d: checkpoint survived a completed run: %v", trial, err)
-		}
-		if kills == 0 {
-			t.Logf("trial %d completed without a kill — raise the iteration count if this recurs", trial)
-		}
-	}
-}
-
-// TestCheckpointOffByteIdentical pins the no-regression guarantee:
-// enabling checkpointing on an uninterrupted run changes no output
-// byte, and the checkpoint file does not outlive the run.
-func TestCheckpointOffByteIdentical(t *testing.T) {
-	base := searchads.Config{Seed: 77, Engines: []string{searchads.Bing}, QueriesPerEngine: 6}
-	plain, err := searchads.NewStudy(base).Crawl(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
-	cfg.CheckpointEvery = 2
-	ckpt, err := searchads.NewStudy(cfg).Crawl(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveBytes(t, plain), saveBytes(t, ckpt)) {
-		t.Fatal("checkpointing changed dataset bytes")
-	}
-	if _, err := os.Stat(cfg.Checkpoint); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("checkpoint survived a completed Crawl: %v", err)
 	}
 }
 

@@ -24,9 +24,10 @@ var (
 	// to a study, and vice versa). Resuming would stitch two different
 	// runs together, so Resume refuses.
 	ErrCheckpointMismatch = checkpoint.ErrCheckpointMismatch
-	// ErrCheckpointVersion reports a checkpoint written in a format
-	// revision this release does not read (by a newer release). Finish
-	// the run with that release, or delete the file and run fresh.
+	// ErrCheckpointVersion reports a checkpoint in a format revision
+	// other than the one Resume reads: an older file may hold iterations
+	// without the outcome stamp every crawl now records. Finish the run
+	// with the code that wrote it, or delete the file and run fresh.
 	ErrCheckpointVersion = checkpoint.ErrCheckpointVersion
 )
 
@@ -81,7 +82,7 @@ func (s *Study) configHash() (string, error) {
 // A missing checkpoint file is not an error — the run starts fresh,
 // with checkpointing on. A damaged file returns an error wrapping
 // ErrCheckpointCorrupt; one from a different configuration wraps
-// ErrCheckpointMismatch; one in a newer format revision wraps
+// ErrCheckpointMismatch; one in another format revision wraps
 // ErrCheckpointVersion. None ever yields a silently wrong dataset.
 //
 // Cancellation mid-crawl writes a final checkpoint, then returns the

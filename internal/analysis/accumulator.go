@@ -245,8 +245,8 @@ type engineAcc struct {
 	// keyed by crawler.ErrorClass value ("other" for a failure with
 	// no class). Summed under Merge like every other counter.
 	failures map[string]int
-	// Arms-race outcome counts (recovered/lost/abandoned), populated
-	// only from iterations whose crawl tracked outcomes.
+	// Outcome counts (recovered/lost/abandoned) of the iterations that
+	// carry one.
 	outcomes map[string]int
 }
 

@@ -40,9 +40,9 @@ type Report struct {
 	Failures map[string]map[string]int `json:",omitempty"`
 	// Outcomes is the arms-race accounting: engine → outcome
 	// (recovered/lost/abandoned, see crawler's Outcome constants) →
-	// iteration count. Populated only when the crawl tracked outcomes —
-	// an adversary armed or a countermeasure configured — so chaos-only
-	// and fault-free reports keep their exact shape.
+	// iteration count. Empty exactly when no iteration carries an
+	// outcome, i.e. nothing was retried, rotated, solved, abandoned or
+	// lost.
 	Outcomes map[string]map[string]int `json:",omitempty"`
 
 	// EngineOrder lists engines in table order.

@@ -227,9 +227,8 @@ func (r *Report) Render() string {
 		}
 	}
 
-	// Arms-race accounting appears only when the crawl tracked outcomes
-	// (adversary armed or countermeasures configured), keeping chaos-only
-	// renders byte-identical to the PR-6 layout.
+	// Arms-race accounting appears only when some iteration carries an
+	// outcome.
 	if len(r.Outcomes) > 0 {
 		b.WriteString("\n== Arms race: iteration outcomes ==\n")
 		outcomes := outcomeOrder(r.Outcomes)

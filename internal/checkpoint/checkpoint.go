@@ -9,15 +9,15 @@
 // payload:
 //
 //	bytes 0..3   magic "SACK"
-//	bytes 4..7   format version, uint32 little-endian (currently 1)
+//	bytes 4..7   format version, uint32 little-endian (currently 2)
 //	bytes 8..15  payload length, uint64 little-endian
 //	bytes 16..19 CRC-32 (IEEE) of the payload, uint32 little-endian
 //	bytes 20..   the JSON-encoded Snapshot
 //
 // Load verifies all four fields before parsing a byte of JSON: a
 // truncated file, a flipped bit, or a torn write surfaces as
-// ErrCheckpointCorrupt — never as a silently wrong resume. A file
-// written by a newer release surfaces as ErrCheckpointVersion, and a
+// ErrCheckpointCorrupt — never as a silently wrong resume. A file in
+// any other format revision surfaces as ErrCheckpointVersion, and a
 // checkpoint whose config hash differs from the run trying to resume
 // it as ErrCheckpointMismatch (see Snapshot.Verify).
 //
@@ -80,13 +80,17 @@ var (
 	// match the configuration trying to resume it. Resuming would
 	// stitch two different studies together, so the load refuses.
 	ErrCheckpointMismatch = errors.New("checkpoint: checkpoint belongs to a different configuration")
-	// ErrCheckpointVersion reports a checkpoint written by an
-	// unsupported (newer) format revision.
+	// ErrCheckpointVersion reports a checkpoint whose format revision is
+	// not FormatVersion. Version 1 files may hold iterations crawled
+	// under faults without their outcome stamp, which a resume would
+	// join to a stamped tail; a later revision is not readable here.
 	ErrCheckpointVersion = errors.New("checkpoint: unsupported checkpoint format version")
 )
 
-// FormatVersion is the current on-disk format revision.
-const FormatVersion = 1
+// FormatVersion is the current on-disk format revision. Version 2
+// checkpoints hold iterations whose Outcome, Rotations and
+// CaptchaSolves are stamped on every crawl, faulted or not.
+const FormatVersion = 2
 
 var magic = [4]byte{'S', 'A', 'C', 'K'}
 
@@ -198,7 +202,7 @@ func (s *Snapshot) validate() error {
 // Load reads and verifies a checkpoint. It returns fs.ErrNotExist
 // (unwrapped check via errors.Is) when no checkpoint exists,
 // ErrCheckpointCorrupt for any structural damage, and
-// ErrCheckpointVersion for files from a newer format revision.
+// ErrCheckpointVersion for files in any other format revision.
 func Load(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

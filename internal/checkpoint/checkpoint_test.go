@@ -131,17 +131,21 @@ func crcOf(b []byte) uint32 {
 	return crc32.ChecksumIEEE(b)
 }
 
+// TestLoadFutureVersion: a header in any other format revision is
+// refused — a later one, and version 1, whose iterations crawled under
+// faults may lack the outcome stamp a resume would join them to.
 func TestLoadFutureVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.ckpt")
+	path := filepath.Join(t.TempDir(), "other.ckpt")
 	if err := Save(path, sampleSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
-	binary.LittleEndian.PutUint32(data[4:8], FormatVersion+1)
-	os.WriteFile(path, data, 0o644)
-	_, err := Load(path)
-	if !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("future version: got %v, want ErrCheckpointVersion", err)
+	for _, v := range []uint32{1, FormatVersion + 1} {
+		binary.LittleEndian.PutUint32(data[4:8], v)
+		os.WriteFile(path, data, 0o644)
+		if _, err := Load(path); !errors.Is(err, ErrCheckpointVersion) {
+			t.Fatalf("version %d: got %v, want ErrCheckpointVersion", v, err)
+		}
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 	"searchads/internal/browser"
 )
 
-// Iteration outcomes of the arms race: how an iteration fared against
-// an adversary once countermeasures are in play. Only populated when
-// the crawl tracks outcomes (an adversary armed on the world's network
-// or any countermeasure configured) — plain crawls keep the field empty
-// and their datasets byte-identical.
+// Iteration outcomes: how an iteration fared against faults, the
+// adversary and the countermeasures in play. Every crawl stamps them;
+// an iteration nothing disturbed carries none.
 const (
 	// OutcomeRecovered marks a successful iteration that needed the
 	// survival kit: a retried hop, a solved challenge, or a rotated

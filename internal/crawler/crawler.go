@@ -72,10 +72,7 @@ type Config struct {
 	Retry browser.RetryPolicy
 	// Countermeasures arms the anti-adversary survival kit: browser-level
 	// pacing/rotation/CAPTCHA-solving plus the per-engine circuit
-	// breaker. Arming any of them (or crawling a world with an adversary
-	// installed) also turns on recovered/lost/abandoned outcome
-	// accounting on every iteration. The zero value is disarmed and
-	// byte-inert.
+	// breaker. The zero value is disarmed and byte-inert.
 	Countermeasures Countermeasures
 	// Telemetry, when set, records run-time metrics for the crawl:
 	// per-iteration latency (wall and virtual), per-engine and
@@ -99,12 +96,6 @@ type Config struct {
 // Crawler runs the measurement pipeline.
 type Crawler struct {
 	cfg Config
-	// trackOutcomes turns on the arms-race accounting: Outcome,
-	// Rotations, and CaptchaSolves stamped on every iteration. It is on
-	// exactly when the crawl has a stake in the arms race — an adversary
-	// armed on the world's network, or any countermeasure configured —
-	// so plain crawls (and the PR-6 chaos goldens) keep their bytes.
-	trackOutcomes bool
 }
 
 // New returns a crawler for the given config.
@@ -122,10 +113,7 @@ func New(cfg Config) *Crawler {
 		// into the same registry the crawler reports iterations into.
 		cfg.World.Net.InstallTelemetry(cfg.Telemetry)
 	}
-	return &Crawler{
-		cfg:           cfg,
-		trackOutcomes: cfg.World.Net.AdversaryArmed() || !cfg.Countermeasures.IsZero(),
-	}
+	return &Crawler{cfg: cfg}
 }
 
 // NewDataset returns the metadata-only dataset shell Run fills with
@@ -311,7 +299,7 @@ func (c *Crawler) runOne(p *crawlPlan, idx, iter int) *Iteration {
 // engine's remaining iterations are unperturbed by the gap.
 func (c *Crawler) shedIteration(p *crawlPlan, idx, iter int) *Iteration {
 	name := p.names[idx]
-	it := &Iteration{
+	return &Iteration{
 		Engine:     name,
 		EngineHost: p.engines[idx].Spec.Host,
 		Index:      iter,
@@ -320,11 +308,8 @@ func (c *Crawler) shedIteration(p *crawlPlan, idx, iter int) *Iteration {
 		ClickedAd:  -1,
 		Error:      fmt.Sprintf("breaker open: %s shedding load during cool-down", name),
 		ErrorClass: string(ClassBreakerOpen),
+		Outcome:    OutcomeAbandoned,
 	}
-	if c.trackOutcomes {
-		it.Outcome = OutcomeAbandoned
-	}
-	return it
 }
 
 // observeOutcome reports an iteration's arms-race accounting to
@@ -638,15 +623,13 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 	if index+1 < p.counts[idx] {
 		p.browsers[idx] = b
 	}
-	if c.trackOutcomes {
-		// Stamp the arms-race accounting on every exit path once the
-		// iteration's fate is known.
-		defer func() {
-			it.Rotations = b.Rotations()
-			it.CaptchaSolves = b.CaptchaSolves()
-			it.Outcome = deriveOutcome(it)
-		}()
-	}
+	// Stamp the outcome accounting on every exit path once the
+	// iteration's fate is known.
+	defer func() {
+		it.Rotations = b.Rotations()
+		it.CaptchaSolves = b.CaptchaSolves()
+		it.Outcome = deriveOutcome(it)
+	}()
 	if tele := c.cfg.Telemetry; tele != nil {
 		// The browser's private clock delta is the iteration's virtual
 		// duration — a pure function of (seed, config), so sequential and

@@ -157,11 +157,12 @@ type Iteration struct {
 	Error      string `json:"error,omitempty"`
 	ErrorClass string `json:"error_class,omitempty"`
 
-	// Outcome is the arms-race accounting (recovered/lost/abandoned, see
-	// the Outcome* constants), stamped only when the crawl tracks
-	// outcomes; Rotations and CaptchaSolves count the countermeasure
-	// budgets the iteration spent. All three stay empty — and off the
-	// wire — for crawls with no adversary and no countermeasures.
+	// Outcome is the iteration's fate under faults and the adversary
+	// (recovered/lost/abandoned, see the Outcome* constants; empty for a
+	// clean iteration or an organic no-ads one). Rotations and
+	// CaptchaSolves count the countermeasure budgets it spent. All three
+	// are stamped on every iteration and omitted from the JSON when
+	// empty, so a crawl nothing disturbed carries none of them.
 	Outcome       string `json:"outcome,omitempty"`
 	Rotations     int    `json:"rotations,omitempty"`
 	CaptchaSolves int    `json:"captcha_solves,omitempty"`

@@ -2,7 +2,7 @@ package netsim
 
 // The stateful half of the chaos layer: an adversary that remembers.
 //
-// The PR-6 fault plan injects i.i.d. per-request failures; real engines
+// A plan's Rates inject i.i.d. per-request failures; real engines
 // do not fail that way. They score each client across its request
 // history — request rate against a per-client budget, low-entropy
 // automation fingerprints, prior wall hits — and escalate from CAPTCHA
@@ -20,8 +20,9 @@ package netsim
 // traps, brownout rolls, challenge tokens) derive from detrand streams
 // disjoint from the i.i.d. fault walk. A sequential and a Parallel
 // crawl therefore meet the identical adversary, and arming the
-// adversary leaves a plan's i.i.d. draw stream untouched — a
-// suspicion-off plan keeps its PR-6 bytes exactly.
+// adversary leaves a plan's i.i.d. draw stream untouched: whenever the
+// adversary lets a request through, the i.i.d. walk decides it exactly
+// as it would with no adversary installed.
 
 import (
 	"fmt"
@@ -78,8 +79,8 @@ type Brownout struct {
 }
 
 // AdversaryConfig is the stateful, time-correlated half of a FaultPlan.
-// The zero value is fully disarmed and byte-inert: a plan whose only
-// non-zero part is its Rates behaves exactly like a PR-6 plan.
+// The zero value is fully disarmed: a plan whose only non-zero part is
+// its Rates injects i.i.d. faults and nothing else.
 //
 // Suspicion scoring: each client accrues an integer suspicion score as
 // it makes requests — RatePenalty per request beyond its rate budget

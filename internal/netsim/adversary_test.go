@@ -46,12 +46,12 @@ func outcomeOf(t *testing.T, n *Network, req *Request) string {
 // TestAdversaryZeroConfigDisarmed: a plan whose adversary is zero never
 // arms the suspicion machine, and arming an adversary that never fires
 // leaves the i.i.d. fault walk's draws untouched — the stateful streams
-// are disjoint from the PR-6 walk by construction.
+// are disjoint from the i.i.d. walk by construction.
 func TestAdversaryZeroConfigDisarmed(t *testing.T) {
 	n := NewNetwork()
 	n.HandleSite("shop.example", echoHandler("ok"))
 	n.InstallFaults(FaultPlan{Seed: 5, Rates: FaultRates{HTTP5xx: 0.3}})
-	if n.AdversaryArmed() {
+	if fs := n.faults.Load(); fs == nil || fs.adv {
 		t.Fatal("rates-only plan armed the adversary")
 	}
 	base := drive(t, n, []string{"c0", "c1"}, 30)
@@ -68,7 +68,7 @@ func TestAdversaryZeroConfigDisarmed(t *testing.T) {
 			CaptchaThreshold: 1 << 20, BlockThreshold: 1 << 20,
 		},
 	})
-	if !armed.AdversaryArmed() {
+	if fs := armed.faults.Load(); fs == nil || !fs.adv {
 		t.Fatal("adversary plan did not arm")
 	}
 	for i, cls := range drive(t, armed, []string{"c0", "c1"}, 30) {

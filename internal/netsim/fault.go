@@ -145,7 +145,7 @@ type FaultPlan struct {
 	// Adversary is the stateful half of the plan: per-client suspicion
 	// scoring, booby-trapped challenges, and time-correlated
 	// outage/brownout windows (see AdversaryConfig). The zero value is
-	// disarmed and leaves the i.i.d. plan byte-identical to PR-6.
+	// disarmed: the plan then injects only its i.i.d. Rates.
 	Adversary AdversaryConfig
 	// Captcha builds the challenge page for adversary-served captcha
 	// verdicts (websim installs its challenge page here). nil falls back
@@ -211,6 +211,24 @@ func ProfileRates(profile string, rate float64) (FaultRates, error) {
 		profile, ProfileOff, ProfileFlakyEdge, ProfileBotHostile, ProfileBrownout)
 }
 
+// NewFaultPlan builds the plan a (fault profile, fault rate, adversary
+// posture) triple names: ProfileRates' class mix at that rate plus
+// PostureConfig's adversary. The empty profile and posture mean "off".
+// An unknown profile or posture, or a rate outside [0, 1], is an error,
+// whatever the other two values are. Seed, SiteRates and the page
+// builders are left for the caller (websim fills them in).
+func NewFaultPlan(profile string, rate float64, posture string) (FaultPlan, error) {
+	rates, err := ProfileRates(profile, rate)
+	if err != nil {
+		return FaultPlan{}, err
+	}
+	adv, err := PostureConfig(posture)
+	if err != nil {
+		return FaultPlan{}, err
+	}
+	return FaultPlan{Rates: rates, Adversary: adv}, nil
+}
+
 // faultState is the installed form of a plan: the plan plus its
 // decision stream. One uniform draw per request, keyed by the
 // request's Client label and that client's serial, decides the fate —
@@ -221,10 +239,10 @@ type faultState struct {
 	src  detrand.Source
 	seq  detrand.Seq
 
-	// adv caches Adversary.IsZero()==false so the PR-6 fast path pays
-	// one bool check; mu guards the per-client suspicion map (each
-	// client's requests are sequential, so the lock only serialises
-	// cross-client map access — see clientSuspicion).
+	// adv caches Adversary.IsZero()==false so an i.i.d.-only plan pays
+	// one bool check per request; mu guards the per-client suspicion
+	// map (each client's requests are sequential, so the lock only
+	// serialises cross-client map access — see clientSuspicion).
 	adv     bool
 	mu      sync.Mutex
 	clients map[string]*clientSuspicion
@@ -254,14 +272,6 @@ func (n *Network) InstallFaults(plan FaultPlan) {
 
 // FaultsArmed reports whether a non-zero plan is installed.
 func (n *Network) FaultsArmed() bool { return n.faults.Load() != nil }
-
-// AdversaryArmed reports whether the installed plan has a live
-// adversary (consumers gate arms-race outcome accounting on it, so
-// plain i.i.d. chaos runs keep their exact PR-6 bytes).
-func (n *Network) AdversaryArmed() bool {
-	fs := n.faults.Load()
-	return fs != nil && fs.adv
-}
 
 // inject rolls the request's fate. It returns (nil, nil) to let the
 // request through, a marked response for response-stage faults, or a

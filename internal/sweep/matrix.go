@@ -185,8 +185,8 @@ func scenarioName(st storage.Mode, filter, stealth bool, set []string, profile s
 	// The fault segment appears only when the fault dimensions leave
 	// their defaults, so matrices that never mention faults keep their
 	// exact pre-chaos scenario names; the adversary and countermeasure
-	// segments likewise appear only when armed, keeping PR-6 chaos
-	// scenario names (and SWEEP_chaos.json) byte-stable.
+	// segments likewise appear only when armed, so chaos-only scenarios
+	// keep their names (and SWEEP_chaos.json its scenario keys).
 	if profile != "off" && profile != "" || rate != 0 {
 		name += fmt.Sprintf(",faults=%s@%s", profile, strconv.FormatFloat(rate, 'g', -1, 64))
 	}

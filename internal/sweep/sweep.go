@@ -93,8 +93,8 @@ type CellResult struct {
 	// pre-chaos shape).
 	FailureClasses map[string]int `json:"failure_classes,omitempty"`
 	// Outcomes is the arms-race accounting (recovered/lost/abandoned),
-	// summed across the cell's engines (absent when the cell tracked no
-	// outcomes — PR-6 chaos sweep output keeps its exact shape).
+	// summed across the cell's engines (absent when no iteration of the
+	// cell carries an outcome).
 	Outcomes map[string]int `json:"outcomes,omitempty"`
 	// Err is the cell-level failure ("" on success; canceled cells
 	// carry the context error). Errored cells are excluded from
@@ -406,29 +406,15 @@ func (r *runner) runCell(ctx context.Context, i int) {
 // which is what keeps sweep memory O(parallelism · iteration) instead
 // of O(parallelism · dataset).
 func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellResult) (*analysis.Report, error) {
+	plan, err := netsim.NewFaultPlan(c.FaultProfile, c.FaultRate, c.Adversary)
+	if err != nil {
+		return nil, err
+	}
 	wcfg := websim.Config{
 		Seed:             c.Seed,
 		Engines:          c.Engines,
 		QueriesPerEngine: c.QueriesPerEngine,
-	}
-	advArmed := c.Adversary != "" && c.Adversary != "off"
-	if c.FaultRate > 0 || advArmed {
-		var plan netsim.FaultPlan
-		if c.FaultRate > 0 {
-			rates, err := netsim.ProfileRates(c.FaultProfile, c.FaultRate)
-			if err != nil {
-				return nil, err
-			}
-			plan.Rates = rates
-		}
-		if advArmed {
-			adv, err := netsim.PostureConfig(c.Adversary)
-			if err != nil {
-				return nil, err
-			}
-			plan.Adversary = adv
-		}
-		wcfg.Faults = plan
+		Faults:           plan,
 	}
 	cm, err := crawler.CountermeasureBundle(c.Countermeasure)
 	if err != nil {

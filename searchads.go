@@ -240,9 +240,8 @@ type Config struct {
 	// ""), "pace", "rotate", "solve", or "full" (see
 	// CountermeasureBundles): virtual-clock pacing, session rotation on
 	// suspicion signals, CAPTCHA solve-or-abandon, and the per-engine
-	// circuit breaker. Arming either side turns on
-	// recovered/lost/abandoned outcome accounting in datasets and
-	// reports.
+	// circuit breaker. Every faulted crawl records
+	// recovered/lost/abandoned outcomes in its dataset and report.
 	Countermeasures string
 	// Parallel crawls iterations on a worker pool spanning all cores.
 	// The dataset is byte-identical to a sequential crawl of the same
@@ -327,12 +326,13 @@ func NewStudy(cfg Config) *Study {
 	return s
 }
 
-// worldConfig maps a study config onto its world's. An invalid fault
-// profile, adversary posture or countermeasure bundle comes back as the
-// error next to the world config built so far: the world is built
-// anyway (without the invalid part) so the study stays usable for
-// inspection, and the stashed error surfaces from every crawl entry
-// point.
+// worldConfig maps a study config onto its world's; the fault plan
+// comes from netsim.NewFaultPlan, as a sweep cell's does. An invalid
+// fault profile, fault rate, adversary posture or countermeasure bundle
+// comes back as the error next to the world config built so far: the
+// world is built anyway (with no fault plan if the plan was the invalid
+// part) so the study stays usable for inspection, and the stashed error
+// surfaces from every crawl entry point.
 func worldConfig(cfg Config) (websim.Config, error) {
 	wcfg := websim.Config{
 		Seed:                    cfg.Seed,
@@ -341,24 +341,13 @@ func worldConfig(cfg Config) (websim.Config, error) {
 		Calibrations:            cfg.Calibrations,
 		EnableReferrerSmuggling: cfg.ReferrerSmuggling,
 	}
-	if cfg.FaultProfile != "" || cfg.FaultRate != 0 {
-		rates, err := netsim.ProfileRates(cfg.FaultProfile, cfg.FaultRate)
-		if err != nil {
-			return wcfg, err
-		}
-		wcfg.Faults.Rates = rates
-	}
-	if cfg.Adversary != "" && cfg.Adversary != "off" {
-		adv, err := netsim.PostureConfig(cfg.Adversary)
-		if err != nil {
-			return wcfg, err
-		}
-		wcfg.Faults.Adversary = adv
-	}
-	if _, err := crawler.CountermeasureBundle(cfg.Countermeasures); err != nil {
+	plan, err := netsim.NewFaultPlan(cfg.FaultProfile, cfg.FaultRate, cfg.Adversary)
+	if err != nil {
 		return wcfg, err
 	}
-	return wcfg, nil
+	wcfg.Faults = plan
+	_, err = crawler.CountermeasureBundle(cfg.Countermeasures)
+	return wcfg, err
 }
 
 // instantiate wires a fresh world from the study's blueprint.

@@ -46,32 +46,6 @@ func TestStudyEndToEnd(t *testing.T) {
 	}
 }
 
-func TestDatasetRoundTripThroughFacade(t *testing.T) {
-	ctx := context.Background()
-	study := searchads.NewStudy(searchads.Config{
-		Seed:             315,
-		Engines:          []string{searchads.Bing},
-		QueriesPerEngine: 5,
-	})
-	ds, err := study.Crawl(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ds.json")
-	if err := ds.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := searchads.LoadDataset(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := searchads.AnalyzeDataset(ds)
-	r2 := searchads.AnalyzeDataset(back)
-	if r1.After["bing"].MSCLKID != r2.After["bing"].MSCLKID {
-		t.Fatal("analysis differs after round trip")
-	}
-}
-
 // TestLoadDatasetRefusesOtherVersions: a saved dataset carries schema
 // version 3 and loads; the same file with the version key removed, or
 // set to 1, 2 or 4, is refused with ErrDatasetVersion.
@@ -108,25 +82,6 @@ func TestLoadDatasetRefusesOtherVersions(t *testing.T) {
 			}
 		} else if !errors.Is(err, searchads.ErrDatasetVersion) {
 			t.Errorf("%s: LoadDataset error = %v, want ErrDatasetVersion", name, err)
-		}
-	}
-}
-
-func TestStudiesAreReproducible(t *testing.T) {
-	cfg := searchads.Config{
-		Seed:             777,
-		Engines:          []string{searchads.DuckDuckGo},
-		QueriesPerEngine: 8,
-	}
-	ctx := context.Background()
-	a, errA := searchads.NewStudy(cfg).Crawl(ctx)
-	b, errB := searchads.NewStudy(cfg).Crawl(ctx)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	for i := range a.Iterations {
-		if a.Iterations[i].FinalURL != b.Iterations[i].FinalURL {
-			t.Fatalf("iteration %d differs across identical studies", i)
 		}
 	}
 }
@@ -168,67 +123,5 @@ func TestFacadeComponents(t *testing.T) {
 	world := searchads.NewStudy(searchads.Config{Seed: 1, QueriesPerEngine: 2}).World()
 	if world.Sites.Sites() == 0 {
 		t.Fatal("world has no sites")
-	}
-}
-
-// TestSinkStreamsIterations: Config.Sink — now a thin adapter over the
-// Iterations stream — observes every iteration, in deterministic
-// dataset order, for sequential and parallel crawls alike, without
-// changing the dataset.
-func TestSinkStreamsIterations(t *testing.T) {
-	ctx := context.Background()
-	for _, parallel := range []bool{false, true} {
-		var streamed []string
-		study := searchads.NewStudy(searchads.Config{
-			Seed:             91,
-			Engines:          []string{searchads.Bing, searchads.Qwant},
-			QueriesPerEngine: 4,
-			Parallel:         parallel,
-			Sink:             func(it *searchads.Iteration) { streamed = append(streamed, it.Instance) },
-		})
-		ds, err := study.Crawl(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(ds.Iterations) || len(streamed) != 8 {
-			t.Fatalf("parallel=%v: sink saw %d iterations, dataset has %d",
-				parallel, len(streamed), len(ds.Iterations))
-		}
-		for i, it := range ds.Iterations {
-			if streamed[i] != it.Instance {
-				t.Fatalf("parallel=%v: sink order diverges at %d: %s != %s",
-					parallel, i, streamed[i], it.Instance)
-			}
-		}
-	}
-}
-
-// TestAnalyzeWithMatchesAnalyze: explicit default options must give the
-// same report as Analyze, and a shared filter engine must be usable.
-func TestAnalyzeWithMatchesAnalyze(t *testing.T) {
-	cfg := searchads.Config{Seed: 92, Engines: []string{searchads.Google}, QueriesPerEngine: 5}
-	ctx := context.Background()
-	plain, err := searchads.NewStudy(cfg).Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := searchads.NewStudy(cfg).AnalyzeWith(ctx, searchads.AnalysisOptions{
-		Filter:   searchads.DefaultFilterEngine(),
-		Entities: searchads.DefaultEntities(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Render() != shared.Render() {
-		t.Fatal("AnalyzeWith(default deps) differs from Analyze")
-	}
-	// Caching: the first call's options win.
-	s := searchads.NewStudy(cfg)
-	r1, err := s.AnalyzeWith(ctx, searchads.AnalysisOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2, _ := s.Analyze(ctx); r2 != r1 {
-		t.Fatal("AnalyzeWith result not cached")
 	}
 }

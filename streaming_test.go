@@ -4,167 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
 	"searchads"
 )
-
-// TestAccumulatorByteIdenticalToAnalyze is the v2 acceptance check: the
-// incremental fold over Study.Iterations produces a report identical —
-// rendered and JSON forms, byte for byte — to the batch AnalyzeWith
-// over the same config's dataset, for sequential and Parallel crawls
-// alike.
-func TestAccumulatorByteIdenticalToAnalyze(t *testing.T) {
-	ctx := context.Background()
-	for _, parallel := range []bool{false, true} {
-		cfg := searchads.Config{
-			Seed:             2024,
-			Engines:          []string{searchads.Google, searchads.DuckDuckGo},
-			QueriesPerEngine: 8,
-			Parallel:         parallel,
-		}
-		batch, err := searchads.NewStudy(cfg).Analyze(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		acc := searchads.NewAccumulator(searchads.AnalysisOptions{})
-		for it, err := range searchads.NewStudy(cfg).Iterations(ctx) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc.Add(it)
-		}
-		streamed := acc.Report()
-
-		if !bytes.Equal([]byte(batch.Render()), []byte(streamed.Render())) {
-			t.Fatalf("parallel=%v: streamed report render differs from batch", parallel)
-		}
-		j1, err := batch.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		j2, err := streamed.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(j1, j2) {
-			t.Fatalf("parallel=%v: streamed report JSON differs from batch", parallel)
-		}
-	}
-}
-
-// TestAnalyzeShardedByteIdenticalToSequential drives every Parallel
-// analysis fold — the live crawl folded per pool worker on the crawl
-// pool, the cached dataset folded in contiguous ranges, and a live crawl
-// with a Sink, which keeps the ordered stream — at GOMAXPROCS 1, 2, 3
-// (three workers over five chains, an uneven split) and 4, and asserts
-// each report byte-identical to the sequential fold. The
-// hostile config arms faults, a strict adversary and the full
-// countermeasure bundle, so breaker sheds and retries run on the pool.
-func TestAnalyzeShardedByteIdenticalToSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name    string
-		cfg     searchads.Config
-		hostile bool
-	}{
-		{name: "five-engines", cfg: searchads.Config{Seed: 77, QueriesPerEngine: 6}},
-		{name: "hostile", hostile: true, cfg: searchads.Config{
-			Seed: 2, QueriesPerEngine: 10,
-			FaultProfile: "bot-hostile", FaultRate: 0.05,
-			Adversary: "strict", Countermeasures: "full",
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ds, err := searchads.NewStudy(tc.cfg).Crawl(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := searchads.NewStudy(tc.cfg).Analyze(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRendered, wantJSON := seq.Render(), mustJSON(t, seq)
-			same := func(r *searchads.Report) bool {
-				return r.Render() == wantRendered && bytes.Equal(mustJSON(t, r), wantJSON)
-			}
-
-			for _, procs := range []int{1, 2, 3, 4} {
-				runtime.GOMAXPROCS(procs)
-				par := tc.cfg
-				par.Parallel = true
-
-				// Live crawl: one accumulator per pool worker, each fed
-				// whichever chains' iterations its worker crawled, warmed
-				// and merged after the pool drains.
-				tele := searchads.NewTelemetry()
-				live := par
-				live.Telemetry = tele
-				rep, err := searchads.NewStudy(live).Analyze(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !same(rep) {
-					t.Fatalf("GOMAXPROCS=%d: live pool-folded report differs from sequential", procs)
-				}
-				if snap := tele.Snapshot(); tc.hostile && (snap.Counter("breaker_sheds") == 0 || snap.Counter("retries") == 0) {
-					t.Fatalf("GOMAXPROCS=%d: hostile crawl shed %d iterations and retried %d navigations, want both > 0",
-						procs, snap.Counter("breaker_sheds"), snap.Counter("retries"))
-				}
-
-				// Cached dataset: the fold shards in contiguous ranges.
-				study := searchads.NewStudy(par)
-				if _, err := study.Crawl(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if rep, err := study.Analyze(ctx); err != nil || !same(rep) {
-					t.Fatalf("GOMAXPROCS=%d: cached-dataset sharded report differs from sequential (err %v)", procs, err)
-				}
-
-				// A Sink keeps its stream-order contract on a Parallel
-				// Analyze: every call in dataset order, report unchanged.
-				var got []string
-				sinked := par
-				sinked.Sink = func(it *searchads.Iteration) { got = append(got, it.Instance) }
-				if rep, err := searchads.NewStudy(sinked).Analyze(ctx); err != nil || !same(rep) {
-					t.Fatalf("GOMAXPROCS=%d: Sink-fed Parallel report differs from sequential (err %v)", procs, err)
-				}
-				if len(got) != len(ds.Iterations) {
-					t.Fatalf("GOMAXPROCS=%d: Sink saw %d iterations, want %d", procs, len(got), len(ds.Iterations))
-				}
-				for i, it := range ds.Iterations {
-					if got[i] != it.Instance {
-						t.Fatalf("GOMAXPROCS=%d: Sink call %d = %s, want %s (dataset order)", procs, i, got[i], it.Instance)
-					}
-				}
-			}
-
-			// The explicit dataset entry point agrees too.
-			sharded, err := searchads.AnalyzeDatasetSharded(ctx, ds, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !same(sharded) {
-				t.Fatal("AnalyzeDatasetSharded report differs from sequential")
-			}
-		})
-	}
-}
-
-func mustJSON(t *testing.T, r *searchads.Report) []byte {
-	t.Helper()
-	j, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
-}
 
 // TestIterationsReplaysCachedDataset: after Crawl, the stream replays
 // the cached dataset (same pointers, dataset order) instead of
@@ -190,46 +35,6 @@ func TestIterationsReplaysCachedDataset(t *testing.T) {
 	}
 	if i != len(ds.Iterations) {
 		t.Fatalf("replay yielded %d of %d iterations", i, len(ds.Iterations))
-	}
-}
-
-// TestNewDatasetPlusStreamMatchesCrawl: a dataset assembled by hand —
-// Study.NewDataset shell plus every streamed iteration — serializes
-// byte-identically to the one Crawl caches (the cmd/crawl path).
-func TestNewDatasetPlusStreamMatchesCrawl(t *testing.T) {
-	ctx := context.Background()
-	cfg := searchads.Config{Seed: 661, Engines: []string{searchads.Bing}, QueriesPerEngine: 3}
-
-	streamed := searchads.NewStudy(cfg)
-	ds := streamed.NewDataset()
-	for it, err := range streamed.Iterations(ctx) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds.Iterations = append(ds.Iterations, it)
-	}
-	crawled, err := searchads.NewStudy(cfg).Crawl(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := filepath.Join(t.TempDir(), "streamed.json")
-	p2 := filepath.Join(t.TempDir(), "crawled.json")
-	if err := ds.Save(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := crawled.Save(p2); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("hand-assembled streamed dataset differs from Crawl's")
 	}
 }
 

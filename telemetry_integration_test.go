@@ -1,11 +1,8 @@
 package searchads_test
 
 import (
-	"context"
-	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"searchads"
@@ -61,59 +58,6 @@ func TestTelemetryVirtualDeterminism(t *testing.T) {
 		if sv, pv := seqSnap.Counter(counter), parSnap.Counter(counter); sv != pv {
 			t.Errorf("counter %s: sequential %d, parallel %d", counter, sv, pv)
 		}
-	}
-}
-
-// TestTelemetryDoesNotChangeReport pins the off-path contract from the
-// other side: attaching a registry (or not mentioning telemetry at
-// all) never changes a single output byte, for studies and sweeps
-// alike.
-func TestTelemetryDoesNotChangeReport(t *testing.T) {
-	plain, err := searchads.NewStudy(teleConfig(false, nil)).Analyze(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	instrumented, err := searchads.NewStudy(teleConfig(false, searchads.NewTelemetry())).Analyze(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Render() != instrumented.Render() {
-		t.Error("study report text differs with telemetry attached")
-	}
-	plainJSON, err := plain.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	instrJSON, err := instrumented.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(plainJSON) != string(instrJSON) {
-		t.Error("study report JSON differs with telemetry attached")
-	}
-
-	matrix := searchads.SweepMatrix{
-		Seeds:            []int64{1, 2},
-		EngineSets:       [][]string{{"google", "bing"}},
-		QueriesPerEngine: 6,
-	}
-	run := func(tele *searchads.Telemetry) string {
-		res, err := searchads.Sweep(context.Background(), matrix, searchads.SweepOptions{Telemetry: tele})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Peak retention is a scheduling observation that can differ
-		// between any two runs, telemetry or not; ROADMAP item 1 moves
-		// it out of the result.
-		res.PeakRetainedIterations = 0
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	if off, on := run(nil), run(searchads.NewTelemetry()); off != on {
-		t.Error("sweep result JSON differs with telemetry attached")
 	}
 }
 
@@ -209,84 +153,5 @@ func TestTelemetryEventTrace(t *testing.T) {
 		if !strings.HasPrefix(line, `{"ts":`) || !strings.HasSuffix(line, "}") {
 			t.Fatalf("line %d is not a JSON object: %q", i, line)
 		}
-	}
-}
-
-// TestConcurrentStudiesSharedTelemetryByteIdentical runs four studies
-// at once into one registry: plain, Parallel, checkpointed, and
-// bot-hostile faults against a strict adversary with the full
-// countermeasure bundle. Sharing the registry must change no report
-// byte and lose no count: every report matches the same study run
-// alone without telemetry, and both the iterations counter and the
-// analysis_fold sample count equal the studies' total iterations.
-func TestConcurrentStudiesSharedTelemetryByteIdentical(t *testing.T) {
-	configs := func(dir string) []searchads.Config {
-		base := func(seed int64) searchads.Config {
-			return searchads.Config{Seed: seed, Engines: []string{"google", "bing"}, QueriesPerEngine: 6}
-		}
-		plain, par, ckpt, hostile := base(11), base(12), base(13), base(14)
-		par.Parallel = true
-		ckpt.Checkpoint = filepath.Join(dir, "study.ckpt")
-		ckpt.CheckpointEvery = 3
-		hostile.FaultProfile, hostile.FaultRate = "bot-hostile", 0.05
-		hostile.Adversary, hostile.Countermeasures = "strict", "full"
-		return []searchads.Config{plain, par, ckpt, hostile}
-	}
-	reportBytes := func(rep *searchads.Report) string {
-		data, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Render() + string(data)
-	}
-
-	var want []string
-	var total uint64
-	for _, cfg := range configs(t.TempDir()) {
-		study := searchads.NewStudy(cfg)
-		ds, err := study.Crawl(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += uint64(len(ds.Iterations))
-		rep, err := study.Analyze(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, reportBytes(rep))
-	}
-
-	tele := searchads.NewTelemetry()
-	got := make([]*searchads.Report, len(want))
-	errs := make([]error, len(want))
-	var wg sync.WaitGroup
-	for i, cfg := range configs(t.TempDir()) {
-		cfg.Telemetry = tele
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], errs[i] = searchads.NewStudy(cfg).Analyze(t.Context())
-		}()
-	}
-	wg.Wait()
-	for i := range want {
-		if errs[i] != nil {
-			t.Fatalf("study %d: %v", i, errs[i])
-		}
-		if reportBytes(got[i]) != want[i] {
-			t.Errorf("study %d: report differs from the same study run alone without telemetry", i)
-		}
-	}
-
-	snap := tele.Snapshot()
-	if iters := snap.Counter("iterations"); iters != total {
-		t.Errorf("iterations counter = %d, want %d", iters, total)
-	}
-	fold, ok := snap.StageByName("analysis_fold")
-	if !ok {
-		t.Fatal("snapshot has no analysis_fold stage")
-	}
-	if fold.Wall.Count != total {
-		t.Errorf("analysis_fold recorded %d folds for %d iterations", fold.Wall.Count, total)
 	}
 }

@@ -760,15 +760,18 @@ func TestMergeAllocations(t *testing.T) {
 
 // crawlAllocsCeiling caps the heap objects one crawl of the shared bench
 // study allocates: NewStudy and Crawl of its 400 iterations, world build
-// included. The crawl made 149,592–149,615 (Go 1.24, linux/amd64, alone
+// included. The crawl made 137,283–137,294 (Go 1.24, linux/amd64, alone
 // and in the full suite; the engines' per-campaign ad-template caches
 // vary by a few allocations with their maps' random hash seeds), about
-// 3,340 fewer than the 152,933–152,950 it made before each engine built
-// its pages' static resource lists once; the ceiling was lowered by that
-// saving, a margin of about two allocations per iteration. When a change
-// cuts the crawl's allocations, lower the constant by the saving, so the
+// 12,300 fewer than the 149,592–149,615 it made before each chain kept
+// its jar dump and click/destination split in scratch and the browser
+// kept each navigation's result, hops and set-cookie names in its own
+// storage (and 152,933–152,950 before each engine built its pages'
+// static resource lists once); the ceiling was lowered by each saving,
+// a margin of about two allocations per iteration. When a change cuts
+// the crawl's allocations, lower the constant by the saving, so the
 // next regression is measured from the new floor.
-const crawlAllocsCeiling = 150_368
+const crawlAllocsCeiling = 138_064
 
 // TestCrawlAllocations holds the crawl path — world build, one browser
 // per engine chain Reset between iterations, every request and its
@@ -791,6 +794,41 @@ func TestCrawlAllocations(t *testing.T) {
 	t.Logf("crawl of 400 iterations: %.0f allocs (ceiling %d, race detector %v)", allocs, crawlAllocsCeiling, raceEnabled)
 	if allocs > crawlAllocsCeiling && !raceEnabled {
 		t.Errorf("crawl of 400 iterations made %.0f allocs, above the ceiling of %d", allocs, crawlAllocsCeiling)
+	}
+}
+
+// analyzeAllocsCeiling caps the heap objects one live analysis of the
+// shared bench study allocates: NewStudy and AnalyzeWith over its 400
+// iterations, world build, crawl and report included, each iteration
+// folded where it was crawled in storage its chain reuses. It made
+// 134,779–134,784 (Go 1.24, linux/amd64, alone and in the full suite),
+// against 157,242–157,257 while each iteration was built in fresh
+// records and a sequential study folded the ordered stream; the ceiling
+// is 134,784 plus 0.5%. When a change cuts these allocations, lower the
+// constant to the new count plus 0.5%.
+const analyzeAllocsCeiling = 135_458
+
+// TestAnalyzeAllocations holds the live lent fold — NewStudy plus
+// AnalyzeWith with no cached dataset, crawl and fold in one pass — to
+// analyzeAllocsCeiling allocations, the way TestCrawlAllocations holds
+// the crawl. A -race build counts more, and scribbles over every lent
+// record, so there the count is only logged.
+func TestAnalyzeAllocations(t *testing.T) {
+	benchSetup(t) // the first crawl in a process also fills process-wide memos
+	ctx := context.Background()
+	opts := searchads.AnalysisOptions{Filter: searchads.DefaultFilterEngine(), Entities: searchads.DefaultEntities()}
+	allocs := testing.AllocsPerRun(1, func() {
+		rep, err := searchads.NewStudy(searchads.Config{Seed: 4242, QueriesPerEngine: 80}).AnalyzeWith(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Funnel.TotalTokens == 0 {
+			t.Fatal("empty funnel")
+		}
+	})
+	t.Logf("analysis of 400 iterations: %.0f allocs (ceiling %d, race detector %v)", allocs, analyzeAllocsCeiling, raceEnabled)
+	if allocs > analyzeAllocsCeiling && !raceEnabled {
+		t.Errorf("analysis of 400 iterations made %.0f allocs, above the ceiling of %d", allocs, analyzeAllocsCeiling)
 	}
 }
 

@@ -119,7 +119,10 @@ type Hop struct {
 	FaultClass netsim.FaultClass
 }
 
-// NavResult is the outcome of a top-level navigation.
+// NavResult is the outcome of a top-level navigation. The browser owns
+// it: the result, its Hops and every hop's SetCookieNames are built in
+// storage the next Navigate, Click or Reset rewinds, so a result is
+// valid until then. Copy out what must outlive it.
 type NavResult struct {
 	// FinalURL is the settled document URL (zero if none settled).
 	FinalURL urlx.URL
@@ -142,7 +145,9 @@ type NavResult struct {
 // sends come from its request slab and the cookies attached to them
 // from its cookie slab. Both are rewound by Reset, so the requests in
 // the two logs, and the cookie lists they carry, are valid until the
-// next Reset; a request kept past it reads as zero values.
+// next Reset; a request kept past it reads as zero values. A
+// navigation's result (NavResult) lives in browser storage too, valid
+// until the next Navigate, Click or Reset.
 type Browser struct {
 	net   *netsim.Network
 	jar   *storage.Jar
@@ -184,6 +189,11 @@ type Browser struct {
 	// cookieSlab is the append-only backing of every request's (and
 	// every document.cookie read's) cookie list since New or Reset.
 	cookieSlab []*netsim.Cookie
+	// nav is the current public navigation's result and navNames the
+	// backing of its hops' SetCookieNames; both are rewound by the next
+	// Navigate, Click or Reset.
+	nav      NavResult
+	navNames []string
 
 	currentURL urlx.URL
 	page       *netsim.Page
@@ -274,6 +284,8 @@ func (b *Browser) Reset(net *netsim.Network, opts Options) {
 		clear(b.reqSlab[i][:min(n, reqChunk)])
 	}
 	clear(b.cookieSlab)
+	clear(b.nav.Hops)
+	clear(b.navNames)
 	*b = Browser{
 		net:          net,
 		jar:          jar,
@@ -288,7 +300,16 @@ func (b *Browser) Reset(net *netsim.Network, opts Options) {
 		extensionLog: extensionLog[:0],
 		reqSlab:      b.reqSlab,
 		cookieSlab:   b.cookieSlab[:0],
+		nav:          NavResult{Hops: b.nav.Hops[:0]},
+		navNames:     b.navNames[:0],
 	}
+}
+
+// beginNav rewinds the navigation result storage for a new public
+// navigation.
+func (b *Browser) beginNav() {
+	b.nav = NavResult{Hops: b.nav.Hops[:0]}
+	b.navNames = b.navNames[:0]
 }
 
 // newRequest returns the next zeroed request of the request slab.
@@ -386,6 +407,7 @@ var ErrTooManyRedirects = errors.New("browser: too many redirects")
 func (b *Browser) Navigate(rawURL string) (*NavResult, error) {
 	b.pace()
 	defer b.observeNavigation()()
+	b.beginNav()
 	return b.navigate(rawURL, "initial", "")
 }
 
@@ -408,23 +430,27 @@ func (b *Browser) observeNavigation() func() {
 }
 
 // navigate starts a navigation to a raw URL: an absolute one as parsed,
-// a relative one resolved against the current document.
+// a relative one resolved against the current document. Its hops extend
+// the public navigation's result (b.nav), whose settled document is this
+// navigation's (none when the URL is bad).
 func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, error) {
 	u, err := urlx.Parse(rawURL)
 	if err == nil && u.Scheme == "" && !b.currentURL.IsZero() {
 		u, err = urlx.Resolve(b.currentURL, rawURL)
 	}
 	if err != nil {
-		return &NavResult{}, fmt.Errorf("browser: bad navigation URL %q: %w", rawURL, err)
+		b.nav.FinalURL, b.nav.Page = urlx.URL{}, nil
+		return &b.nav, fmt.Errorf("browser: bad navigation URL %q: %w", rawURL, err)
 	}
 	return b.follow(u, mechanism, referrer)
 }
 
 // follow navigates to u and chases its redirects until the document
-// settles. Each hop's URL is built once: a 30x Location resolves
-// straight into the next hop's request URL.
+// settles, appending each hop to b.nav. Each hop's URL is built once: a
+// 30x Location resolves straight into the next hop's request URL.
 func (b *Browser) follow(u urlx.URL, mechanism, referrer string) (*NavResult, error) {
-	res := &NavResult{}
+	res := &b.nav
+	res.FinalURL, res.Page = urlx.URL{}, nil
 	for hop := 0; ; hop++ {
 		if hop >= b.opts.MaxRedirects {
 			return res, fmt.Errorf("%w: %d hops reaching %s", ErrTooManyRedirects, hop, u)
@@ -452,8 +478,12 @@ func (b *Browser) follow(u urlx.URL, mechanism, referrer string) (*NavResult, er
 			return res, err
 		}
 		h := Hop{URL: u.String(), Status: resp.Status, Mechanism: mechanism, Retries: retries}
-		for _, c := range resp.SetCookies {
-			h.SetCookieNames = append(h.SetCookieNames, c.Name)
+		if n := len(resp.SetCookies); n > 0 {
+			start := len(b.navNames)
+			for _, c := range resp.SetCookies {
+				b.navNames = append(b.navNames, c.Name)
+			}
+			h.SetCookieNames = b.navNames[start : start+n : start+n]
 		}
 		if loc, ok := resp.Location(); ok && resp.IsRedirect() {
 			h.Location = loc
@@ -487,10 +517,7 @@ func (b *Browser) follow(u urlx.URL, mechanism, referrer string) (*NavResult, er
 			// Meta/JS redirects make the redirecting document the next
 			// referrer — which is how referrer-based UID smuggling
 			// passes identifiers (paper §5).
-			sub, err := b.navigate(redirect, mech, u.String())
-			res.Hops = append(res.Hops, sub.Hops...)
-			res.FinalURL, res.Page = sub.FinalURL, sub.Page
-			return res, err
+			return b.navigate(redirect, mech, u.String())
 		}
 		return res, nil
 	}
@@ -598,6 +625,7 @@ func (b *Browser) Click(el *netsim.Element) (*NavResult, error) {
 	}
 	b.pace()
 	defer b.observeNavigation()()
+	b.beginNav()
 	return b.follow(u, "initial", b.currentURL.String())
 }
 

@@ -12,7 +12,8 @@ import (
 // TestResetLeavesNewState drives a browser through navigation, scripts,
 // cookies, storage and a click, Resets it under different options, and
 // requires exactly the state New builds for those options. The request
-// and cookie slabs differ only in the storage Reset keeps.
+// and cookie slabs and the navigation result's hop and cookie-name
+// storage differ only in the storage Reset keeps.
 func TestResetLeavesNewState(t *testing.T) {
 	n := buildWorld(t)
 	b := New(n, Options{Seed: detrand.New(7), Client: "first"})
@@ -37,20 +38,33 @@ func TestResetLeavesNewState(t *testing.T) {
 		got := *b
 		got.reqSlab, want.reqSlab = nil, nil
 		got.cookieSlab, want.cookieSlab = nil, nil
+		got.nav.Hops, want.nav.Hops = nil, nil
+		got.navNames, want.navNames = nil, nil
 		if !reflect.DeepEqual(&got, want) {
 			t.Errorf("Reset(%+v) left %+v, New builds %+v", opts, &got, want)
 		}
 	}
 }
 
-// TestResetZeroesRetainedRequests checks that a request kept past Reset
-// reads as zero values, cookies included, rather than aliasing the next
-// profile's traffic.
+// TestResetZeroesRetainedRequests checks that a request and a
+// navigation result kept past Reset read as zero values, cookies and
+// set-cookie names included, rather than aliasing the next profile's
+// traffic.
 func TestResetZeroesRetainedRequests(t *testing.T) {
 	n := buildWorld(t)
 	b := newBrowser(t, n)
 	b.Navigate("https://a.com/")
-	b.Navigate("https://a.com/again") // sends the a_session cookie
+	res, _ := b.Navigate("https://a.com/again") // sends the a_session cookie
+	hops := res.Hops
+	var names []string
+	for _, h := range hops {
+		if len(h.SetCookieNames) > 0 {
+			names = h.SetCookieNames
+		}
+	}
+	if len(hops) == 0 || names == nil {
+		t.Fatal("the navigation recorded no hop setting a cookie")
+	}
 	var kept *netsim.Request
 	for _, req := range b.ExtensionRequests() {
 		if len(req.Cookies) > 0 {
@@ -72,5 +86,15 @@ func TestResetZeroesRetainedRequests(t *testing.T) {
 	}
 	if len(b.ExtensionRequests()) != 0 || len(b.CrawlerRequests()) != 0 {
 		t.Error("Reset left requests in the logs")
+	}
+	for i, h := range hops {
+		if !reflect.DeepEqual(h, Hop{}) {
+			t.Errorf("hop %d kept past Reset reads %+v, want zero values", i, h)
+		}
+	}
+	for i, name := range names {
+		if name != "" {
+			t.Errorf("set-cookie name %d kept past Reset reads %q, want empty", i, name)
+		}
 	}
 }

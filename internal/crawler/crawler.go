@@ -152,9 +152,10 @@ func (c *Crawler) Run(ctx context.Context) (*Dataset, error) {
 type crawlPlan struct {
 	engines []*serp.Engine
 	names   []string
-	counts  []int // iterations per engine
-	start   []int // first un-crawled iteration per engine (0 without resume)
-	base    []int // emission index of each engine's iteration start
+	homes   []string // each engine's home page URL
+	counts  []int    // iterations per engine
+	start   []int    // first un-crawled iteration per engine (0 without resume)
+	base    []int    // emission index of each engine's iteration start
 	visited []map[string]bool
 	total   int // iterations left to crawl (and emit)
 	// breakers is the per-engine circuit-breaker state; breakerEvents is
@@ -162,12 +163,14 @@ type crawlPlan struct {
 	// ResumeState.Breaker).
 	breakers      []breakerState
 	breakerEvents []string
-	// browsers holds each chain's browser: built by browser.New for the
-	// chain's first crawled iteration, Reset before each later one and
-	// dropped with the last. A chain has at most one iteration in flight
-	// (startChains) and the sequential loop runs chains one after
-	// another, so no lock guards it.
-	browsers []*browser.Browser
+	// chains holds each chain's reusable storage (chainState): built for
+	// the chain's first crawled iteration and dropped with the last. A
+	// chain has at most one iteration in flight (startChains) and the
+	// sequential loops run chains one after another, so no lock guards it.
+	chains []*chainState
+	// lend makes each chain build its iterations in its own lentRecords
+	// (RunChains) instead of fresh records.
+	lend bool
 }
 
 // plan validates the config against the world and lays out the
@@ -201,6 +204,10 @@ func (c *Crawler) plan() (*crawlPlan, error) {
 		}
 		p.engines[i] = engine
 	}
+	p.homes = make([]string, len(p.engines))
+	for i, e := range p.engines {
+		p.homes[i] = "https://" + e.Spec.Host + "/"
+	}
 	p.counts = make([]int, len(p.engines))
 	p.start = make([]int, len(p.engines))
 	p.base = make([]int, len(p.engines))
@@ -215,7 +222,7 @@ func (c *Crawler) plan() (*crawlPlan, error) {
 	}
 	p.breakers = make([]breakerState, len(p.engines))
 	p.breakerEvents = make([]string, len(p.engines))
-	p.browsers = make([]*browser.Browser, len(p.engines))
+	p.chains = make([]*chainState, len(p.engines))
 	if c.cfg.Resume != nil {
 		if err := c.cfg.Resume.validate(p); err != nil {
 			return nil, err
@@ -303,7 +310,7 @@ func (c *Crawler) shedIteration(p *crawlPlan, idx, iter int) *Iteration {
 		Engine:     name,
 		EngineHost: p.engines[idx].Spec.Host,
 		Index:      iter,
-		Instance:   fmt.Sprintf("%s-%04d", name, iter),
+		Instance:   instanceLabel(name, iter),
 		Query:      c.cfg.World.Queries[name][iter],
 		ClickedAd:  -1,
 		Error:      fmt.Sprintf("breaker open: %s shedding load during cool-down", name),
@@ -359,11 +366,13 @@ func (c *Crawler) observeOutcome(it *Iteration) {
 // later engines' completed iterations until the emission cursor
 // reaches them — up to everything but the first engine's remainder in
 // the worst case, the same order of memory a Run dataset holds anyway.
-// A consumer that needs no global order (a sharded fold, for one)
-// calls RunChains directly and buffers nothing. Identifier minting is
-// keyed by (engine, iteration) labels, so the emitted iterations are
-// byte-identical to the ones a Run dataset holds, sequential or
-// Parallel alike.
+// A consumer that needs no global order and keeps nothing of an
+// iteration past its fold (a sharded fold, for one) calls RunChains
+// directly, which buffers nothing and lends each iteration in storage
+// its chain reuses. Every iteration Iterations emits is a fresh record
+// the consumer may keep. Identifier minting is keyed by (engine,
+// iteration) labels, so the emitted iterations are byte-identical to
+// the ones a Run dataset holds, sequential or Parallel alike.
 func (c *Crawler) Iterations(ctx context.Context) iter.Seq2[*Iteration, error] {
 	return func(yield func(*Iteration, error) bool) {
 		p, err := c.plan()
@@ -382,46 +391,82 @@ func (c *Crawler) Iterations(ctx context.Context) iter.Seq2[*Iteration, error] {
 // streamSequential crawls engine-major; completion order is already
 // dataset order, so every iteration is emitted the moment it finishes.
 func (c *Crawler) streamSequential(ctx context.Context, p *crawlPlan, yield func(*Iteration, error) bool) {
+	if err := c.crawlSequential(ctx, p, func(_, _ int, it *Iteration) bool { return yield(it, nil) }); err != nil {
+		yield(nil, err)
+	}
+}
+
+// crawlSequential crawls p's chains engine-major on the caller's
+// goroutine, handing emit each iteration with its chain and dataset
+// position. It stops when emit returns false, and returns ctx.Err() if
+// the context is done before an iteration starts.
+func (c *Crawler) crawlSequential(ctx context.Context, p *crawlPlan, emit func(chain, seq int, it *Iteration) bool) error {
 	for idx := range p.engines {
 		for i := p.start[idx]; i < p.counts[idx]; i++ {
 			if err := ctx.Err(); err != nil {
-				yield(nil, err)
-				return
+				return err
 			}
-			if !yield(c.runOne(p, idx, i), nil) {
-				return
+			if !emit(idx, p.base[idx]+i-p.start[idx], c.runOne(p, idx, i)) {
+				return nil
 			}
 		}
 	}
+	return nil
 }
 
 // Engines returns the engines the crawl covers, in Config order: the
 // chain indexes RunChains reports are positions in this slice.
 func (c *Crawler) Engines() []string { return c.cfg.Engines }
 
-// RunChains crawls every engine chain on the worker pool — whatever
-// Config.Parallel says — and hands each iteration to visit on the
-// worker that crawled it, right after the crawl and before that chain's
-// next iteration is scheduled. worker is the pool goroutine's index,
-// below min(GOMAXPROCS, len(Engines())); chain is the engine's position
-// in Engines; seq is the iteration's position in the dataset order
-// Iterations emits (counted from the resume point under Config.Resume).
+// RunChains is the fold-only crawl: it hands each iteration to visit
+// right after crawling it and buffers nothing. A sequential crawl runs the chains engine-major on the
+// caller's goroutine as worker 0, so visit sees dataset order; a
+// Parallel one runs them on the crawler's worker pool and calls visit on
+// the worker that crawled the iteration, before that chain's next
+// iteration is scheduled. worker is below min(GOMAXPROCS,
+// len(Engines())); chain is the engine's position in Engines; seq is the
+// iteration's position in the dataset order Iterations emits (counted
+// from the resume point under Config.Resume).
+//
+// The iteration is lent: it is valid only until visit returns. The
+// chain then builds its next iteration in the same storage — the
+// Iteration, its request, cookie, storage, ad and hop record slices,
+// every RequestRecord.Cookies map and every HopRecord.SetCookieNames —
+// and drops that storage with its last iteration. A consumer that must
+// keep any part of an iteration copies it out during visit (strings may
+// be kept: they are never rewritten); one that keeps records wants
+// Iterations or Run, which hand out fresh ones. Race-detector builds
+// overwrite every lent record with sentinel values once visit returns.
 //
 // One worker's calls are sequential, so per-worker state needs no lock.
 // Within a chain, visit sees iterations in index order, each call
 // finishing before the next one starts (a happens-before edge), so
-// per-chain state needs no lock either; a chain's iterations may land on
-// any worker. Different workers' calls run concurrently. Nothing is
-// buffered: an iteration lives as long as visit holds it.
+// per-chain state needs no lock either; under Parallel a chain's
+// iterations may land on any worker and different workers' calls run
+// concurrently.
 //
 // RunChains returns nil once every chain has finished, the config error
 // if the plan is invalid (wrapping ErrUnknownEngine for an unknown
-// engine), or ctx.Err() if the context was canceled first; it returns
-// only after every worker has exited.
+// engine), or ctx.Err() if the context was canceled first (checked
+// between iterations); it returns only after every worker has exited.
 func (c *Crawler) RunChains(ctx context.Context, visit func(worker, chain, seq int, it *Iteration)) error {
 	p, err := c.plan()
 	if err != nil {
 		return err
+	}
+	p.lend = true
+	if scribbleLent.Load() {
+		fold := visit
+		visit = func(worker, chain, seq int, it *Iteration) {
+			fold(worker, chain, seq, it)
+			scribble(it)
+		}
+	}
+	if !c.cfg.Parallel {
+		return c.crawlSequential(ctx, p, func(chain, seq int, it *Iteration) bool {
+			visit(0, chain, seq, it)
+			return true
+		})
 	}
 	if !c.startChains(ctx, p, visit)() {
 		return ctx.Err()
@@ -581,18 +626,33 @@ var revisitBase = urlx.MustParse("https://x.example/")
 
 // runIteration performs iteration index of chain idx in the chain's
 // browser, Reset to the fresh-profile state New builds ("We run each
-// iteration in a new browser instance", §3.1).
+// iteration in a new browser instance", §3.1). Under p.lend the
+// iteration is built in the chain's lentRecords, rewound for it.
 func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 	w := c.cfg.World
 	engine := p.engines[idx]
 	name := engine.Spec.Name
 	query := w.Queries[p.names[idx]][index]
 	visited := p.visited[idx]
-	it := &Iteration{
+	cs := p.chains[idx]
+	if cs == nil {
+		cs = &chainState{}
+		if p.lend {
+			cs.lent = &lentRecords{}
+		}
+	}
+	// The chain's next iteration reuses its storage; its last drops it.
+	p.chains[idx] = nil
+	if index+1 < p.counts[idx] {
+		p.chains[idx] = cs
+	}
+	rec := cs.lent
+	it := rec.iteration()
+	*it = Iteration{
 		Engine:     name,
 		EngineHost: engine.Spec.Host,
 		Index:      index,
-		Instance:   fmt.Sprintf("%s-%04d", name, index),
+		Instance:   instanceLabel(name, index),
 		Query:      query,
 		ClickedAd:  -1,
 	}
@@ -612,16 +672,12 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 		// stream for this iteration's requests.
 		Client: it.Instance,
 	}
-	b := p.browsers[idx]
+	b := cs.browser
 	if b == nil {
 		b = browser.New(w.Net, opts)
+		cs.browser = b
 	} else {
 		b.Reset(w.Net, opts)
-	}
-	// The chain's next iteration reuses the browser; its last drops it.
-	p.browsers[idx] = nil
-	if index+1 < p.counts[idx] {
-		p.browsers[idx] = b
 	}
 	// Stamp the outcome accounting on every exit path once the
 	// iteration's fate is known.
@@ -641,7 +697,7 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 	}
 
 	// Stage 1 — before the click: main page, then the results page.
-	if _, err := b.Navigate("https://" + engine.Spec.Host + "/"); err != nil {
+	if _, err := b.Navigate(p.homes[idx]); err != nil {
 		it.Error = fmt.Sprintf("home: %v", err)
 		it.ErrorClass = string(ClassifyError(err))
 		return it
@@ -651,11 +707,12 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 		it.ErrorClass = string(ClassifyError(err))
 		return it
 	}
-	it.SERPRequests = recordRequests(b.CrawlerRequests())
-	it.SERPCookies = recordCookies(b.Jar(), b.Clock().Now())
+	it.SERPRequests = rec.requests(serpRequests, b.CrawlerRequests())
+	it.SERPCookies = rec.cookies(serpCookies, cs.dumpJar(b))
 
 	// Scrape the displayed ads.
 	ads := serp.FindAds(name, b.Page())
+	it.DisplayedAds = rec.adRecords(len(ads))
 	for pos, ad := range ads {
 		it.DisplayedAds = append(it.DisplayedAds, AdRecord{
 			Href:          ad.Attr("href"),
@@ -686,13 +743,13 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 			// Keep the partial chain: the hop records carry the fault
 			// class and retry count, attributing exactly where and how
 			// the navigation was lost.
-			it.Hops = hopRecords(res.Hops)
+			it.Hops = rec.hopRecords(res.Hops)
 		}
 		it.CrawlerRequestCount = len(b.CrawlerRequests())
 		it.ExtensionRequestCount = len(b.ExtensionRequests())
 		return it
 	}
-	it.Hops = hopRecords(res.Hops)
+	it.Hops = rec.hopRecords(res.Hops)
 	it.FinalURL = res.FinalURL.String()
 	it.FinalReferrer = b.DocumentReferrer()
 
@@ -702,11 +759,11 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 	// behalf of the destination site belong to the "after" stage.
 	b.Dwell()
 	destSite := urlx.RegistrableDomain(res.FinalURL.Host)
-	clickReqs, destReqs := splitClickRequests(b.CrawlerRequests()[clickStart:], destSite)
-	it.ClickRequests = recordRequests(clickReqs)
-	it.DestRequests = recordRequests(destReqs)
-	it.Cookies = recordCookies(b.Jar(), b.Clock().Now())
-	it.LocalStorage = recordStorage(b.LocalStorage())
+	cs.click, cs.dest = splitClickRequests(cs.click[:0], cs.dest[:0], b.CrawlerRequests()[clickStart:], destSite)
+	it.ClickRequests = rec.requests(clickRequests, cs.click)
+	it.DestRequests = rec.requests(destRequests, cs.dest)
+	it.Cookies = rec.cookies(dwellCookies, cs.dumpJar(b))
+	it.LocalStorage = rec.localStorage(dwellStorage, b.LocalStorage())
 	it.CrawlerRequestCount = len(b.CrawlerRequests())
 	it.ExtensionRequestCount = len(b.ExtensionRequests())
 
@@ -723,8 +780,8 @@ func (c *Crawler) runIteration(p *crawlPlan, idx, index int) *Iteration {
 				b.Navigate(u.String())
 			}
 		}
-		it.RevisitCookies = recordCookies(b.Jar(), b.Clock().Now())
-		it.RevisitLocalStorage = recordStorage(b.LocalStorage())
+		it.RevisitCookies = rec.cookies(revisitCookies, cs.dumpJar(b))
+		it.RevisitLocalStorage = rec.localStorage(revisitStorage, b.LocalStorage())
 	}
 	return it
 }
@@ -754,8 +811,9 @@ func countBlocked(vs []filterlist.Verdict) int {
 
 // splitClickRequests separates click-stage traffic (chain hops and
 // engine beacons, §4.2) from destination-stage traffic (the landing
-// page's subresources and tracker calls, §4.3).
-func splitClickRequests(reqs []*netsim.Request, destSite string) (click, dest []*netsim.Request) {
+// page's subresources and tracker calls, §4.3), appending each request
+// to click or dest.
+func splitClickRequests(click, dest, reqs []*netsim.Request, destSite string) ([]*netsim.Request, []*netsim.Request) {
 	for _, r := range reqs {
 		switch {
 		case r.Type == netsim.TypeDocument, r.Initiator == "click":
@@ -778,75 +836,4 @@ func chooseAd(ads []AdRecord, visited map[string]bool) int {
 		}
 	}
 	return 0
-}
-
-// hopRecords converts a navigation chain to dataset form.
-func hopRecords(hops []browser.Hop) []HopRecord {
-	if len(hops) == 0 {
-		return nil
-	}
-	out := make([]HopRecord, 0, len(hops))
-	for _, h := range hops {
-		out = append(out, HopRecord{
-			URL:            h.URL,
-			Status:         h.Status,
-			Location:       h.Location,
-			Mechanism:      h.Mechanism,
-			SetCookieNames: h.SetCookieNames,
-			Retries:        h.Retries,
-			FaultClass:     string(h.FaultClass),
-		})
-	}
-	return out
-}
-
-func recordRequests(reqs []*netsim.Request) []RequestRecord {
-	out := make([]RequestRecord, 0, len(reqs))
-	for _, r := range reqs {
-		rec := RequestRecord{
-			URL:        r.URL.String(),
-			Method:     r.Method,
-			Type:       string(r.Type),
-			FirstParty: r.FirstParty,
-			Initiator:  r.Initiator,
-			Referrer:   r.Referrer,
-			ThirdParty: r.IsThirdParty(),
-		}
-		if len(r.Cookies) > 0 {
-			rec.Cookies = make(map[string]string, len(r.Cookies))
-			for _, ck := range r.Cookies {
-				rec.Cookies[ck.Name] = ck.Value
-			}
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-func recordCookies(jar *storage.Jar, now time.Time) []CookieRecord {
-	all := jar.All(now)
-	out := make([]CookieRecord, 0, len(all))
-	for _, c := range all {
-		out = append(out, CookieRecord{
-			PartitionKey: c.PartitionKey,
-			Domain:       c.Domain,
-			Name:         c.Name,
-			Value:        c.Value,
-		})
-	}
-	return out
-}
-
-func recordStorage(ls *storage.LocalStorage) []StorageRecord {
-	all := ls.All()
-	out := make([]StorageRecord, 0, len(all))
-	for _, e := range all {
-		out = append(out, StorageRecord{
-			PartitionKey: e.PartitionKey,
-			Origin:       e.Origin,
-			Key:          e.Key,
-			Value:        e.Value,
-		})
-	}
-	return out
 }

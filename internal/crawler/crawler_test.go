@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -119,6 +120,17 @@ func TestChooseAd(t *testing.T) {
 	visited["b.example"] = true
 	if got := chooseAd(ads, visited); got != 0 {
 		t.Fatalf("all visited: chooseAd = %d, want 0", got)
+	}
+}
+
+// TestInstanceLabel: the label is the engine name, a dash and the index
+// padded to four digits, as fmt's "%s-%04d" writes it, past four digits
+// too.
+func TestInstanceLabel(t *testing.T) {
+	for _, index := range []int{0, 7, 42, 999, 1000, 9999, 10000, 123456} {
+		if got, want := instanceLabel("duckduckgo", index), fmt.Sprintf("%s-%04d", "duckduckgo", index); got != want {
+			t.Errorf("instanceLabel(%d) = %q, want %q", index, got, want)
+		}
 	}
 }
 

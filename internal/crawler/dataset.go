@@ -183,8 +183,8 @@ var ErrDatasetVersion = errors.New("crawler: unsupported dataset schema version"
 // Dataset is a complete crawl output.
 type Dataset struct {
 	// Version is the schema revision the dataset was saved with: Save
-	// stamps DatasetVersion on every dataset, and Load refuses any
-	// other with ErrDatasetVersion.
+	// writes DatasetVersion for every dataset (leaving this field as
+	// it is), and Load refuses any other with ErrDatasetVersion.
 	Version     int       `json:"version,omitempty"`
 	Seed        int64     `json:"seed"`
 	StorageMode string    `json:"storage_mode"`
@@ -218,14 +218,16 @@ func (d *Dataset) Engines() []string {
 	return names
 }
 
-// Save stamps d.Version with DatasetVersion and writes the dataset as
-// JSON indented one space per level, atomically: the bytes land in a
-// temporary file that is fsynced and renamed over the destination, so a
-// SIGINT or crash mid-save leaves either the previous dataset or the
-// new one — never a truncated hybrid. The file is mode 0644. The bytes
-// are those of json.MarshalIndent(d, "", " "), with one exception: a
-// nil entry in Iterations, which Load would refuse as null, is an error
-// and nothing is written. They are encoded in one pass with no
+// Save writes the dataset, stamped with DatasetVersion whatever
+// d.Version holds, as JSON indented one space per level, atomically: the
+// bytes land in a temporary file that is fsynced and renamed over the
+// destination, so a SIGINT or crash mid-save leaves either the previous
+// dataset or the new one — never a truncated hybrid. The file is mode
+// 0644. Save only reads d, so goroutines may save one dataset
+// concurrently. The bytes are those of json.MarshalIndent of a copy of
+// d whose Version is DatasetVersion, with one exception: a nil entry in
+// Iterations, which Load would refuse as null, is an error and nothing
+// is written. They are encoded in one pass with no
 // reflection, and Save fails exactly where json.MarshalIndent would: on
 // a CreatedAt that time.Time cannot write in RFC 3339, such as one in
 // year 10000.

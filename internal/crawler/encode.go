@@ -29,10 +29,11 @@ const (
 	saveChunkFree = 32 << 10
 )
 
-// encode returns the bytes of json.MarshalIndent(d, "", " ") in chunks,
-// stamping d with DatasetVersion first. It fails, leaving d unchanged,
-// on a nil iteration, and where encoding/json fails: on a created_at
-// that time.Time cannot encode.
+// encode returns the bytes of json.MarshalIndent in chunks for d
+// stamped with DatasetVersion: the version written is always
+// DatasetVersion, and d itself is only read, so goroutines may encode
+// one dataset at once. It fails on a nil iteration, and where
+// encoding/json fails: on a created_at that time.Time cannot encode.
 func (d *Dataset) encode() ([][]byte, error) {
 	if i := slices.Index(d.Iterations, nil); i >= 0 {
 		return nil, fmt.Errorf("iteration %d is nil", i)
@@ -41,10 +42,9 @@ func (d *Dataset) encode() ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Version = DatasetVersion
 	e := encoder{buf: make([]byte, 0, saveChunk), indent: true}
 	e.open('{')
-	e.omitInt(`"version":`, d.Version)
+	e.omitInt(`"version":`, DatasetVersion)
 	e.key(`"seed":`)
 	e.buf = strconv.AppendInt(e.buf, d.Seed, 10)
 	e.strField(`"storage_mode":`, d.StorageMode)

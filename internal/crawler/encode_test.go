@@ -16,8 +16,9 @@ import (
 // json.MarshalIndent(d, "", " ") form earlier releases wrote, on every
 // dataset shape: clean, filter-annotated and hostile crawls, every field
 // set with strings that need escaping, an empty dataset, and one that
-// fills several of the chunks Save writes. Save stamps each with the
-// current version.
+// fills several of the chunks Save writes. The bytes are those of a
+// copy stamped with the current version; the dataset itself keeps the
+// version it had.
 func TestSaveByteIdenticalToMarshalIndent(t *testing.T) {
 	shapes := datasetShapes(t)
 	many := &Dataset{Seed: 1, StorageMode: "flat"}
@@ -26,11 +27,14 @@ func TestSaveByteIdenticalToMarshalIndent(t *testing.T) {
 	}
 	shapes["many"] = many
 	for name, ds := range shapes {
+		version := ds.Version
 		got := saveBytes(t, ds)
 		if name == "many" && len(got) < 3*saveChunk {
 			t.Fatalf("many: %d bytes fill fewer than three chunks", len(got))
 		}
-		want, err := json.MarshalIndent(ds, "", " ")
+		stamped := *ds
+		stamped.Version = DatasetVersion
+		want, err := json.MarshalIndent(&stamped, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,12 +45,41 @@ func TestSaveByteIdenticalToMarshalIndent(t *testing.T) {
 			}
 			t.Fatalf("%s: Save differs from json.MarshalIndent at byte %d of %d", name, i, len(want))
 		}
-		if ds.Version != DatasetVersion {
-			t.Fatalf("%s: dataset stamped version %d, want %d", name, ds.Version, DatasetVersion)
+		if ds.Version != version {
+			t.Fatalf("%s: Save changed the dataset's version from %d to %d", name, version, ds.Version)
 		}
 	}
 	if !shapes["partitioned-filter"].FilterAnnotated {
 		t.Fatal("filter dataset is not annotated")
+	}
+}
+
+// TestConcurrentSaveByteIdentical: Save only reads the dataset, so two
+// goroutines saving one dataset at once write the same bytes (and the
+// race detector sees no write to it).
+func TestConcurrentSaveByteIdentical(t *testing.T) {
+	ds := datasetShapes(t)["hostile"]
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")}
+	errs := make(chan error, len(paths))
+	for _, path := range paths {
+		go func() { errs <- ds.Save(path) }()
+	}
+	for range paths {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) || !bytes.HasPrefix(a, []byte("{\n \"version\": 3,\n")) {
+		t.Fatalf("concurrent saves wrote %d and %d bytes that differ or lack the version", len(a), len(b))
 	}
 }
 
@@ -161,7 +194,9 @@ func FuzzSave(f *testing.F) {
 			return
 		}
 		saved := bytes.Join(chunks, nil)
-		want, err := json.MarshalIndent(d, "", " ")
+		stamped := *d
+		stamped.Version = DatasetVersion
+		want, err := json.MarshalIndent(&stamped, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"searchads/internal/analysis"
 	. "searchads/internal/crawler"
+	"searchads/internal/serp"
 	"searchads/internal/websim"
 )
 
@@ -108,5 +110,86 @@ func TestParallelCrawlAnalysisShape(t *testing.T) {
 	}
 	if !r.Before["bing"].StoresUserIDs || r.Before["qwant"].StoresUserIDs {
 		t.Error("before-click identifiers wrong under parallel crawl")
+	}
+}
+
+// TestLentFoldByteIdentical: folding RunChains' lent iterations into
+// analysis.Accumulator — sequential on one accumulator, Parallel on one
+// per pool worker merged by analysis.ReportShards — with every lent
+// record scribbled over once its visit returns, gives the report
+// analysis.Analyze gives over Run's dataset, byte for byte: the fold
+// keeps nothing of a record past its visit. The configs are a plain
+// crawl and a bot-hostile one under a strict adversary and the full
+// countermeasure bundle, whose failed, retried and shed iterations take
+// the lending paths a clean crawl does not. Each lent iteration must
+// also encode, during its visit, to the bytes of Run's iteration at its
+// position, and one kept past its visit must read the sentinel, or the
+// scribbling tested nothing.
+func TestLentFoldByteIdentical(t *testing.T) {
+	defer ScribbleLent(true)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	engines := []string{serp.Google, serp.Bing, serp.StartPage}
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"plain", func() Config {
+			return Config{World: websim.NewWorld(websim.Config{Seed: 77, Engines: engines, QueriesPerEngine: 10})}
+		}},
+		{"bot-hostile-strict-full", func() Config { return HostileConfig(t, 78, engines, 16) }},
+	}
+	reportBytes := func(r *analysis.Report) []byte {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, r.Render()...)
+	}
+	for _, tc := range cases {
+		ds := run(t, tc.cfg())
+		failed := 0
+		for _, it := range ds.Iterations {
+			if it.Error != "" {
+				failed++
+			}
+		}
+		if tc.name != "plain" && failed == 0 {
+			t.Fatalf("%s: no iteration failed, so the failure paths went untested", tc.name)
+		}
+		want := reportBytes(analysis.Analyze(ds))
+		for _, parallel := range []bool{false, true} {
+			cfg := tc.cfg()
+			cfg.Parallel = parallel
+			c := New(cfg)
+			accs := make([]*analysis.Accumulator, len(c.Engines()))
+			var kept *Iteration
+			err := c.RunChains(context.Background(), func(worker, _, seq int, it *Iteration) {
+				if accs[worker] == nil {
+					accs[worker] = analysis.NewAccumulator(analysis.Options{})
+				}
+				accs[worker].AddAt(it, seq)
+				got, _ := AppendIteration(nil, it)
+				if want, _ := AppendIteration(nil, ds.Iterations[seq]); !bytes.Equal(got, want) {
+					t.Errorf("%s, parallel=%v: lent iteration %d differs from Run's", tc.name, parallel, seq)
+				}
+				if worker == 0 && it.FinalURL != "" {
+					kept = it
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := analysis.ReportShards(accs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reportBytes(rep); !bytes.Equal(got, want) {
+				t.Errorf("%s, parallel=%v: the lent fold's report differs from Analyze(Run())", tc.name, parallel)
+			}
+			if kept == nil || kept.Instance != Scribbled || kept.FinalURL != Scribbled ||
+				len(kept.SERPRequests) == 0 || kept.SERPRequests[0].URL != Scribbled {
+				t.Errorf("%s, parallel=%v: an iteration kept past its visit was not scribbled", tc.name, parallel)
+			}
+		}
 	}
 }

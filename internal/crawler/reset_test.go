@@ -65,8 +65,8 @@ type crawledIteration struct {
 }
 
 // crawlChain crawls the single engine chain of cfg in order. With fresh
-// set, it drops the chain's browser before every iteration, so each one
-// runs on a browser.New.
+// set, it drops the chain's storage, browser included, before every
+// iteration, so each one runs on a browser.New.
 func crawlChain(t *testing.T, cfg Config, fresh bool) []crawledIteration {
 	t.Helper()
 	c := New(cfg)
@@ -77,7 +77,7 @@ func crawlChain(t *testing.T, cfg Config, fresh bool) []crawledIteration {
 	var out []crawledIteration
 	for i := 0; i < p.counts[0]; i++ {
 		if fresh {
-			p.browsers[0] = nil
+			p.chains[0] = nil
 		}
 		it := c.runOne(p, 0, i)
 		b, err := AppendIteration(nil, it)

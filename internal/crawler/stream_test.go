@@ -53,11 +53,14 @@ func TestIterationsMatchesRunDataset(t *testing.T) {
 	}
 }
 
-// TestRunChainsMatchesRunDataset: the pool primitive visits every
-// iteration of the dataset exactly once, tagged with its engine's chain
-// index and its dataset position, each chain in index order, and with a
-// worker index below the pool width whose calls never overlap; config
-// errors and a canceled context come back before any visit.
+// TestRunChainsMatchesRunDataset: the fold-only crawl visits every
+// iteration of the dataset exactly once, sequential and Parallel alike,
+// tagged with its engine's chain index and its dataset position, each
+// chain in index order, and with a worker index below the pool width
+// (0 when sequential, which also visits in dataset order) whose calls
+// never overlap. Each lent iteration is encoded during its visit, the
+// only time it is valid. Config errors and a canceled context come back
+// before any visit.
 func TestRunChainsMatchesRunDataset(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := websim.Config{Seed: 404, QueriesPerEngine: 4}
@@ -65,47 +68,53 @@ func TestRunChainsMatchesRunDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{World: websim.NewWorld(cfg)})
-	got := make([]*Iteration, len(ds.Iterations))
-	last := make([]int, len(c.Engines())) // per chain: last seq visited + 1
-	busy := make([]bool, 2)               // per worker: inside a visit
-	err = c.RunChains(context.Background(), func(worker, chain, seq int, it *Iteration) {
-		if worker < 0 || worker >= len(busy) || busy[worker] {
-			t.Errorf("visit on worker %d: outside the pool or overlapping its previous call", worker)
-			return
+	for _, parallel := range []bool{false, true} {
+		c := New(Config{World: websim.NewWorld(cfg), Parallel: parallel})
+		got := make([][]byte, len(ds.Iterations))
+		last := make([]int, len(c.Engines())) // per chain: last seq visited + 1
+		busy := make([]bool, 2)               // per worker: inside a visit
+		next := 0                             // sequential: the next seq in dataset order
+		err = c.RunChains(context.Background(), func(worker, chain, seq int, it *Iteration) {
+			if worker < 0 || worker >= len(busy) || busy[worker] || (!parallel && (worker != 0 || seq != next)) {
+				t.Errorf("parallel=%v: visit(seq %d) on worker %d: outside the pool, overlapping its previous call or out of order", parallel, seq, worker)
+				return
+			}
+			busy[worker] = true
+			defer func() { busy[worker] = false }()
+			if c.Engines()[chain] != it.Engine || seq < last[chain] || got[seq] != nil {
+				t.Errorf("parallel=%v: visit(chain %d, seq %d, %s) out of chain order", parallel, chain, seq, it.Instance)
+				return
+			}
+			last[chain] = seq + 1
+			if !parallel {
+				next++
+			}
+			got[seq], _ = AppendIteration(nil, it)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		busy[worker] = true
-		defer func() { busy[worker] = false }()
-		if c.Engines()[chain] != it.Engine || seq < last[chain] || got[seq] != nil {
-			t.Errorf("visit(chain %d, seq %d, %s) out of chain order", chain, seq, it.Instance)
-			return
-		}
-		last[chain] = seq + 1
-		got[seq] = it
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range ds.Iterations {
-		a, b := it, got[i]
-		if b == nil {
-			t.Fatalf("seq %d (%s) never visited", i, a.Instance)
-		}
-		ja, _ := AppendIteration(nil, a)
-		jb, _ := AppendIteration(nil, b)
-		if string(ja) != string(jb) {
-			t.Fatalf("seq %d: pool iteration %s differs from the dataset's", i, b.Instance)
+		for i, it := range ds.Iterations {
+			if got[i] == nil {
+				t.Fatalf("parallel=%v: seq %d (%s) never visited", parallel, i, it.Instance)
+			}
+			want, _ := AppendIteration(nil, it)
+			if string(got[i]) != string(want) {
+				t.Fatalf("parallel=%v: seq %d: lent iteration %s differs from the dataset's", parallel, i, it.Instance)
+			}
 		}
 	}
 
 	visit := func(_, _, _ int, it *Iteration) { t.Errorf("visited %s", it.Instance) }
-	if err := New(Config{World: websim.NewWorld(cfg), Engines: []string{"askjeeves"}}).RunChains(context.Background(), visit); !errors.Is(err, ErrUnknownEngine) {
-		t.Fatalf("RunChains(unknown engine) = %v, want ErrUnknownEngine", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := New(Config{World: websim.NewWorld(cfg)}).RunChains(ctx, visit); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunChains(canceled) = %v, want context.Canceled", err)
+	for _, parallel := range []bool{false, true} {
+		if err := New(Config{World: websim.NewWorld(cfg), Engines: []string{"askjeeves"}, Parallel: parallel}).RunChains(context.Background(), visit); !errors.Is(err, ErrUnknownEngine) {
+			t.Fatalf("parallel=%v: RunChains(unknown engine) = %v, want ErrUnknownEngine", parallel, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := New(Config{World: websim.NewWorld(cfg), Parallel: parallel}).RunChains(ctx, visit); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallel=%v: RunChains(canceled) = %v, want context.Canceled", parallel, err)
+		}
 	}
 }
 

@@ -275,14 +275,22 @@ func sendOrder(a, b *jarEntry) int {
 // total. The analysis pipeline consumes this dump ("The system records
 // all first-party and third-party cookies ... at each step", §3.1).
 func (j *Jar) All(now time.Time) []StoredCookie {
-	out := make([]StoredCookie, 0, len(j.cookies))
+	return j.AppendAll(make([]StoredCookie, 0, len(j.cookies)), now)
+}
+
+// AppendAll appends every stored, unexpired cookie to dst in All's
+// order and returns the extended slice: All into a caller's buffer, so
+// a dump taken at every crawl stage reuses one slice.
+func (j *Jar) AppendAll(dst []StoredCookie, now time.Time) []StoredCookie {
+	dst = slices.Grow(dst, len(j.cookies))
+	live := dst[len(dst):] // fills dst's spare capacity, never reallocates
 	for _, e := range j.cookies {
 		if !e.Expires.IsZero() && !e.Expires.After(now) {
 			continue
 		}
-		out = append(out, e.StoredCookie)
+		live = append(live, e.StoredCookie)
 	}
-	slices.SortFunc(out, func(a, b StoredCookie) int {
+	slices.SortFunc(live, func(a, b StoredCookie) int {
 		return cmp.Or(
 			strings.Compare(a.PartitionKey, b.PartitionKey),
 			strings.Compare(a.Domain, b.Domain),
@@ -290,7 +298,7 @@ func (j *Jar) All(now time.Time) []StoredCookie {
 			strings.Compare(a.Path, b.Path),
 		)
 	})
-	return out
+	return dst[:len(dst)+len(live)]
 }
 
 // Get returns the value of the first cookie with the given domain and

@@ -351,6 +351,29 @@ func TestCookieOrderTotal(t *testing.T) {
 	}
 }
 
+// TestAppendAllKeepsPrefix: AppendAll leaves what dst already holds in
+// place and appends exactly All's dump after it, expired cookies left
+// out, so a buffer reused across crawl stages reads each stage's dump.
+func TestAppendAllKeepsPrefix(t *testing.T) {
+	j := NewJar(Partitioned)
+	gone := netsim.NewCookie("gone", "x")
+	gone.Expires = t0.Add(time.Second)
+	j.SetCookies(t0, urlx.MustParse("https://b.com/"), "b.com", []*netsim.Cookie{netsim.NewCookie("z", "1"), gone})
+	j.SetCookies(t0, urlx.MustParse("https://a.com/"), "c.com", []*netsim.Cookie{netsim.NewCookie("a", "2")})
+	now := t0.Add(time.Minute)
+	prefix := StoredCookie{Domain: "prefix.example", Name: "keep"}
+	got := j.AppendAll([]StoredCookie{prefix}, now)
+	want := j.All(now)
+	if len(want) != 2 || len(got) != 1+len(want) || got[0] != prefix {
+		t.Fatalf("AppendAll = %+v, want the prefix then %+v", got, want)
+	}
+	for i := range want {
+		if got[1+i] != want[i] {
+			t.Fatalf("AppendAll[%d] = %+v, want %+v", 1+i, got[1+i], want[i])
+		}
+	}
+}
+
 func TestLocalStorageModes(t *testing.T) {
 	flat := NewLocalStorage(Flat)
 	flat.Set("a.com", "https://tracker.com", "uid", "01")

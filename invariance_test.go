@@ -157,8 +157,9 @@ func (ref *reference) matchReport(t *testing.T, label string, rep *searchads.Rep
 }
 
 // withIterations returns a copy of the reference dataset's metadata
-// shell holding its (the caller's) iterations. Cells run in parallel
-// and Save stamps the dataset it writes, so no cell saves ref.ds itself.
+// shell holding the caller's iterations: the dataset form of iterations
+// a cell collected from a Sink or a stream. (Save only reads a dataset,
+// so cells running in parallel save ref.ds itself.)
 func (ref *reference) withIterations(its []*searchads.Iteration) *searchads.Dataset {
 	ds := *ref.ds
 	ds.Iterations = its
@@ -328,7 +329,7 @@ func streamCell(t *testing.T, i int, cfg searchads.Config, ref *reference) {
 // shardedCell: AnalyzeDatasetSharded over the reference dataset in 1 to
 // 4 contiguous shards, which must leave the dataset untouched.
 func shardedCell(t *testing.T, _ int, _ searchads.Config, ref *reference) {
-	ds := ref.withIterations(ref.ds.Iterations)
+	ds := ref.ds
 	for k := 1; k <= 4; k++ {
 		rep, err := searchads.AnalyzeDatasetSharded(t.Context(), ds, k)
 		if err != nil {
@@ -342,7 +343,7 @@ func shardedCell(t *testing.T, _ int, _ searchads.Config, ref *reference) {
 // saveLoadCell: Save, LoadDataset, AnalyzeDataset.
 func saveLoadCell(t *testing.T, _ int, _ searchads.Config, ref *reference) {
 	path := filepath.Join(t.TempDir(), "ds.json")
-	if err := ref.withIterations(ref.ds.Iterations).Save(path); err != nil {
+	if err := ref.ds.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := searchads.LoadDataset(path)

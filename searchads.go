@@ -462,17 +462,19 @@ func (s *Study) Crawl(ctx context.Context) (*Dataset, error) {
 // If Crawl already cached a dataset, the stream replays it. Otherwise
 // the crawl runs live and nothing is retained: folding the stream
 // (e.g. with an Accumulator) observes the whole crawl in O(iteration)
-// memory for sequential crawls. Parallel crawls keep that bound only
-// against slow consumers (workers stall rather than pile up finished
-// iterations); their engine-major emission order still buffers faster
-// engines' completions until the cursor reaches them, so a Parallel
-// stream trades memory for speed — leave Parallel off when the memory
-// bound matters. (A Parallel Analyze with no Sink does not go through
-// this stream: it folds on the crawl pool and buffers nothing; see
-// AnalyzeWith.) A live stream consumes the world's identifier state, so
-// whether it completes, is canceled, or is abandoned by breaking out
-// early, a later Crawl/Analyze/Iterations rebuilds the world and
-// re-crawls from scratch — deterministically, as a fresh study would.
+// memory for sequential crawls. Each iteration is a fresh record the
+// consumer may keep. Parallel crawls keep that bound only against slow
+// consumers (workers stall rather than pile up finished iterations);
+// their engine-major emission order still buffers faster engines'
+// completions until the cursor reaches them, so a Parallel stream
+// trades memory for speed — leave Parallel off when the memory bound
+// matters. (An Analyze with no Sink does not go through this stream: it
+// folds each iteration where it was crawled, in storage the crawl
+// reuses, and buffers nothing; see AnalyzeWith.) A live stream consumes
+// the world's identifier state, so whether it completes, is canceled,
+// or is abandoned by breaking out early, a later
+// Crawl/Analyze/Iterations rebuilds the world and re-crawls from
+// scratch — deterministically, as a fresh study would.
 func (s *Study) Iterations(ctx context.Context) iter.Seq2[*Iteration, error] {
 	return func(yield func(*Iteration, error) bool) {
 		if s.cfgErr != nil {
@@ -514,24 +516,28 @@ func (s *Study) Analyze(ctx context.Context) (*Report, error) {
 
 // AnalyzeWith runs the §4 analyses with explicit dependencies — a
 // shared filter engine, an alternative entity list. The analysis is an
-// incremental fold over Iterations: with a cached dataset it folds
-// that; otherwise it folds a live crawl without materialising a dataset
-// at all (call Crawl first if you want both). The report is cached;
-// calling again with the same options (compared by identity — see
-// ErrReportCached) returns it, while different options return an error
-// wrapping ErrReportCached rather than a report the new options never
-// touched.
+// incremental fold: with a cached dataset it folds that; otherwise it
+// folds a live crawl without materialising a dataset at all (call Crawl
+// first if you want both). The report is cached; calling again with the
+// same options (compared by identity — see ErrReportCached) returns it,
+// while different options return an error wrapping ErrReportCached
+// rather than a report the new options never touched.
 //
-// When the study is Parallel, the fold runs on the cores too. A live
-// crawl folds on the crawl's own worker pool: one Accumulator per pool
-// worker, fed every iteration that worker crawled — no iteration waits
-// in a reorder buffer. A cached dataset folds in GOMAXPROCS contiguous
-// ranges. Either way each shard runs its classifier heuristics on its
-// own goroutine before the shards merge (Accumulator.Merge), so only
-// the merge and Report stay serial. A Sink set on the study keeps its
-// stream-order contract, so its live crawl folds the ordered stream
-// into one accumulator. The report is byte-identical to the sequential
-// fold in every case. With Telemetry attached, the fold records one
+// A live crawl with no Sink folds each iteration as the crawl finishes
+// it, on the goroutine that crawled it, in storage the crawl's engine
+// chain reuses for its next iteration: the handoff allocates only what
+// the report keeps. A sequential study folds on the caller's goroutine;
+// a Parallel one on the crawl's own worker pool, one Accumulator per
+// pool worker fed every iteration that worker crawled — no iteration
+// waits in a reorder buffer. A cached dataset folds in order when
+// sequential and in GOMAXPROCS contiguous ranges when Parallel. Each
+// Parallel shard runs its classifier heuristics on its own goroutine
+// before the shards merge (Accumulator.Merge), so only the merge and
+// Report stay serial. A Sink set on the study keeps its stream-order
+// contract and may keep the iterations it is handed, so its live crawl
+// folds the ordered stream of fresh iterations (Iterations) into one
+// accumulator. The report is byte-identical to the sequential fold in
+// every case. With Telemetry attached, the fold records one
 // analysis_fold sample per iteration and the tail after the last fold
 // (warm-up, merge, Report) one analysis_report sample.
 func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report, error) {
@@ -551,7 +557,7 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 			return nil, wrapCanceled(err)
 		}
 		report, err = s.finish(accs)
-	case s.cfg.Parallel && s.cfg.Sink == nil:
+	case s.dataset == nil && s.cfg.Sink == nil:
 		report, err = s.analyzeChains(ctx, opts)
 	default:
 		acc := analysis.NewAccumulator(opts)
@@ -573,14 +579,15 @@ func (s *Study) AnalyzeWith(ctx context.Context, opts AnalysisOptions) (*Report,
 	return s.report, nil
 }
 
-// analyzeChains folds a live Parallel crawl on its worker pool
-// (crawler.RunChains) into one accumulator per pool worker, created on
-// the worker's first iteration. Each iteration is added at its dataset
+// analyzeChains folds a live crawl's lent iterations (crawler.RunChains)
+// into one accumulator per worker, created on the worker's first
+// iteration: the caller's goroutine alone for a sequential study, each
+// pool worker for a Parallel one. Each iteration is added at its dataset
 // position, so the merged shards yield the sequential fold's bytes
-// however the chains were scheduled across the workers. The chains
-// finish in lockstep, so there is no early chain whose merge could
-// overlap the crawl; per-worker shards instead leave the serial tail
-// one merge of pool-width shards.
+// however the chains were scheduled across the workers. The Parallel
+// chains finish in lockstep, so there is no early chain whose merge
+// could overlap the crawl; per-worker shards instead leave the serial
+// tail one merge of pool-width shards.
 func (s *Study) analyzeChains(ctx context.Context, opts AnalysisOptions) (*Report, error) {
 	if s.cfgErr != nil {
 		return nil, s.cfgErr
